@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import ChrcpError
 from .rules import Atom, Comprehension, Pattern, Program, Rule, check_program
 from .terms import Bind, GUARD_TRUE, Int, Reduce, Rel, Var, conj
 
@@ -166,5 +167,6 @@ def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
         simplified = tuple(h for h, f in zip(heads, flags) if f)
 
     rule = Rule(name, propagated, simplified, guard, tuple(body))
-    assert not check_program(Program((rule,))), f"generator produced ill-formed rule {name}"
+    if check_program(Program((rule,))):
+        raise ChrcpError(f"generator produced ill-formed rule {name}")
     return rule

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
+from .errors import ChrcpError
 from .match import MatchResult, enumerate_matches
 from .monotone import is_monotone
 from .rewrite import unfold_body
@@ -52,9 +53,6 @@ class OccurrenceProgram:
     def lookup(self, i: int):
         """Rule owning occurrence i with the head position, or None."""
         return self.table.get(i)
-
-    def drop_indices(self) -> Program:
-        return self.source
 
     def monotone(self, pattern: Pattern) -> bool:
         hit = self._mono_cache.get(pattern)
@@ -134,6 +132,9 @@ def fresh_label(store: LabeledStore, atom: Atom) -> tuple[LabeledStore, tuple[At
 @dataclass(frozen=True)
 class InitGoal:
     body: tuple[Pattern, ...]
+    # (normalized rule, MatchResult) of the firing that pushed this goal: the
+    # certificate the soundness checker confirms. Not part of goal identity.
+    cause: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -262,14 +263,14 @@ def step(
         if matches:
             m = _pick(matches, rng)
             consumed = [i for b in m.blocks[n_prop:] for i in b]
-            body = m.theta.apply(ar.rule.body)
+            init = InitGoal(m.theta.apply(ar.rule.body), (ar.rule, m))
             if pos >= n_prop:
                 # Active constraint sits in the simplified head: it goes too.
                 store2 = store.remove(consumed)
-                return ExecutionState((InitGoal(body),) + rest, store2), "act-simpa-1"
+                return ExecutionState((init,) + rest, store2), "act-simpa-1"
             store2 = store.remove(consumed)
             return (
-                ExecutionState((InitGoal(body), goal) + rest, store2),
+                ExecutionState((init, goal) + rest, store2),
                 "act-simpa-2",
             )
         return (
@@ -281,7 +282,8 @@ def step(
 
     if isinstance(goal, PropGoal):
         hit = pw.lookup(goal.occurrence)
-        assert hit is not None, "prop goal on a vanished occurrence"
+        if hit is None:
+            raise ChrcpError("prop goal on a vanished occurrence")
         ar, pos = hit
         matches = [
             m
@@ -293,7 +295,7 @@ def step(
             body = m.theta.apply(ar.rule.body)
             new_hist = goal.history | {_instance_key(ar, m)}
             goals = (
-                InitGoal(body),
+                InitGoal(body, (ar.rule, m)),
                 PropGoal(goal.atom, goal.label, goal.occurrence, new_hist),
             ) + rest
             return ExecutionState(goals, store), "prop-prop"
@@ -390,7 +392,8 @@ def run_operational(
         nxt, kind = out
         if validate:
             problems = validate_state(pw, nxt)
-            assert not problems, f"invalid state after {kind}: {problems}"
+            if problems:
+                raise ChrcpError(f"invalid state after {kind}: {problems}")
         if observer is not None:
             observer(StepEvent(index, kind, state, nxt))
         trace.append((kind, state_digest(nxt)))

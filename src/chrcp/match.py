@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NonGroundError, RebindError, TermTypeError
+from .errors import ChrcpError, NonGroundError, RebindError, TermTypeError
 from .rules import Atom, Comprehension, Pattern, Rule, normalize_rule
 from .terms import (
     Bind,
@@ -412,7 +412,8 @@ def enumerate_matches(
         env = dict(env)
         for ci in comp_idx:
             comp: Comprehension = heads[ci]  # type: ignore[assignment]
-            assert isinstance(comp.domain, Var)
+            if not isinstance(comp.domain, Var):
+                raise ChrcpError(f"comprehension head domain {comp.domain!r} is not a variable")
             collected = [t for _, t in tuples.get(ci, ())]
             dval = MSet(tuple(sorted(collected, key=term_key)))
             if comp.domain.name in env:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import OracleBudgetError
+from .errors import NonGroundError, OracleBudgetError, RebindError, TermTypeError
 from .machine import (
     ExecutionState,
     InitGoal,
@@ -22,10 +22,11 @@ from .machine import (
     StepEvent,
     annotate,
     run_operational,
-    state_digest,
 )
+from .match import MatchResult, matches_exactly, residual_non_match
 from .rewrite import AbstractStep, Store, abstract_steps, unfold_body
-from .rules import Atom, Pattern, Program, canonical_store
+from .rules import Atom, Pattern, Program, Rule, canonical_store
+from .terms import eval_guard_env, guard_bind_vars
 
 
 def correspondence(state: ExecutionState) -> Store:
@@ -69,22 +70,73 @@ def _removable_by(rule, removed: Counter) -> bool:
     return True
 
 
+def _confirm_certificate(
+    rule: Rule, m: MatchResult, atoms: dict[int, Atom], ca: Store, cb: Store
+) -> AbstractStep | None:
+    """The abstract step the machine's own firing (rule, match) denotes, if
+    it is one: every block of labels in `atoms` matches its head exactly under
+    theta, the guard holds, the match is maximal in the whole erased store
+    `ca`, and applying it turns `ca` into `cb`. None when any of these fails."""
+    ids = [i for b in m.blocks for i in b]
+    if len(set(ids)) != len(ids) or any(i not in atoms for i in ids):
+        return None
+    theta = m.theta
+    heads = [theta.apply(h) for h in rule.heads]
+    for head, block in zip(heads, m.blocks):
+        if not matches_exactly([head], [atoms[i] for i in block]):
+            return None
+    # theta already binds the `:=` variables, and binding them again would
+    # raise RebindError: evaluate without them, then compare.
+    binds = guard_bind_vars(rule.guard)
+    env = {k: v for k, v in theta.items() if k not in binds}
+    ok, env = eval_guard_env(rule.guard, env)
+    if not ok or any(env.get(v) != theta.get(v) for v in binds):
+        return None
+    rest = Counter(ca)
+    rest.subtract(atoms[i] for i in ids)
+    if not residual_non_match(heads, rest.elements()):
+        return None
+    n_prop = len(rule.propagated)
+    consumed = canonical_store(atoms[i] for b in m.blocks[n_prop:] for i in b)
+    produced = canonical_store(unfold_body(theta.apply(rule.body)))
+    succ = Counter(ca)
+    succ.subtract(consumed)
+    succ.update(produced)
+    if canonical_store(succ.elements()) != cb:
+        return None
+    return AbstractStep(rule.name, theta, consumed, produced)
+
+
 def classify_step(
     pw: OccurrenceProgram,
     before: ExecutionState,
     after: ExecutionState,
     oracle_budget: int = 100_000,
 ) -> StepClass:
+    """Silent, one abstract step, or a violation.
+
+    A firing step carries its certificate on the init goal it pushes; when
+    the declarative judgments confirm it, no search is needed. Otherwise the
+    step is confirmed by searching every abstract step of the erased store.
+    """
     ca = correspondence(before)
     cb = correspondence(after)
     if ca == cb:
         return StepClass(SILENT)
+    top = after.goals[0] if after.goals else None
+    if isinstance(top, InitGoal) and top.cause is not None:
+        try:
+            astep = _confirm_certificate(*top.cause, dict(before.store.items()), ca, cb)
+        except (TermTypeError, NonGroundError, RebindError):
+            astep = None
+        if astep is not None:
+            return StepClass(ABSTRACT, step=astep, before=ca, after=cb)
     removed = Counter(a.pred for a in ca)
     removed.subtract(Counter(a.pred for a in cb))
     removed = Counter({p: n for p, n in removed.items() if n > 0})
     examined = 0
     for astep, succ in abstract_steps(
-        pw.drop_indices(), ca, rule_filter=lambda r: _removable_by(r, removed)
+        pw.source, ca, rule_filter=lambda r: _removable_by(r, removed)
     ):
         examined += 1
         if examined > oracle_budget:
@@ -139,7 +191,6 @@ def check_soundness(
     def observe(ev: StepEvent) -> None:
         cls = classify_step(pw, ev.before, ev.after, oracle_budget)
         report.classifications.append((ev.index, ev.kind, cls))
-        report.goal_digests.append(state_digest(ev.after))
 
     run = run_operational(
         pw,
@@ -149,6 +200,7 @@ def check_soundness(
         observer=observe,
         max_store=max_store,
     )
+    report.goal_digests = [digest for _, digest in run.trace]
     report.final_store = correspondence(run.state)
     report.limit_exceeded = run.limit_exceeded
     report.steps = len(run.trace)

@@ -1,4 +1,7 @@
-from chrcp import corpus_program, corpus_store
+import pytest
+
+from chrcp import corpus_program, corpus_store, machine
+from chrcp.errors import ChrcpError
 from chrcp.machine import (
     ActGoal,
     EagerGoal,
@@ -39,7 +42,7 @@ class TestAnnotate:
         assert pw.max_occurrence == 0
 
     def test_drop_indices_reproduces_source(self, pivot_program):
-        assert annotate(pivot_program).drop_indices() == pivot_program
+        assert annotate(pivot_program).source == pivot_program
 
 
 class TestLabeledStore:
@@ -149,6 +152,11 @@ class TestRuns:
         for s in states:
             labels = s.store.labels()
             assert len(set(labels)) == len(labels)
+
+    def test_invalid_state_raises_chrcp_error(self, relabel_program, monkeypatch):
+        monkeypatch.setattr(machine, "validate_state", lambda pw, s: ["broken"])
+        with pytest.raises(ChrcpError, match="invalid state after init"):
+            run_operational(annotate(relabel_program), corpus_store("relabel2"))
 
     def test_step_limit_flag(self):
         p = parse_program("loop @ p(X) ==> p(X).")

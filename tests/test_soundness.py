@@ -1,3 +1,6 @@
+import dataclasses
+
+import chrcp.soundness
 from chrcp import corpus_program, corpus_store
 from chrcp.fuzz import generate_random
 from chrcp.machine import (
@@ -8,6 +11,7 @@ from chrcp.machine import (
     LazyGoal,
     annotate,
     run_operational,
+    state_digest,
 )
 from chrcp.match import maximality_disabled
 from chrcp.parse import parse_program, parse_store
@@ -22,7 +26,7 @@ from chrcp.soundness import (
     correspondence,
     trace_records,
 )
-from chrcp.terms import Int
+from chrcp.terms import Int, MSet
 
 
 def state(goals, labeled=()):
@@ -79,6 +83,38 @@ class TestClassify:
         corrupted = ExecutionState(ev.after.goals, store)
         assert classify_step(pw, ev.before, corrupted).kind == VIOLATION
 
+    def test_corrupted_firing_is_violation(self, pivot_program):
+        pw, events = self.collect(pivot_program, corpus_store("pivot_swap"))
+        ev = next(ev for ev in events if ev.kind == "act-simpa-1")
+        assert ev.after.goals[0].cause is not None
+        store, _ = ev.after.store.add(Atom("ghost", ()))
+        corrupted = ExecutionState(ev.after.goals, store)
+        assert classify_step(pw, ev.before, corrupted).kind == VIOLATION
+
+    def test_tampered_certificate_falls_back_to_search(self, relabel_program, monkeypatch):
+        searches = []
+        search = chrcp.soundness.abstract_steps
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chrcp.soundness, "abstract_steps", counted)
+        pw, events = self.collect(relabel_program, corpus_store("relabel3"))
+        ev = next(ev for ev in events if ev.kind == "act-simpa-1")
+        assert classify_step(pw, ev.before, ev.after).kind == ABSTRACT
+        assert not searches
+        # Bind the comprehension domain to a multiset shorter than its block.
+        top = ev.after.goals[0]
+        rule, m = top.cause
+        (domain,) = [v for v, t in m.theta.items() if isinstance(t, MSet)]
+        short = m.theta.extended({domain: MSet(m.theta[domain].items[:-1])})
+        forged = dataclasses.replace(top, cause=(rule, dataclasses.replace(m, theta=short)))
+        tampered = ExecutionState((forged,) + ev.after.goals[1:], ev.after.store)
+        cls = classify_step(pw, ev.before, tampered)
+        assert len(searches) == 1
+        assert cls.kind == ABSTRACT and cls.step.theta == m.theta
+
 
 class TestCheckSoundness:
     def test_pivot_swap_ok(self, pivot_program):
@@ -113,6 +149,24 @@ class TestCheckSoundness:
         fired = [r for r in recs if r["classification"] == ABSTRACT]
         assert fired and "storeBefore" in fired[0]
 
+    def test_goal_digests_are_the_run_trace(self, relabel_program):
+        loop = parse_program("loop @ p(X) ==> p(X).")
+        for program, st, max_store in (
+            (relabel_program, corpus_store("relabel2"), 64),
+            (loop, parse_store("p(1)."), 3),
+        ):
+            rep = check_soundness(program, st, max_store=max_store)
+            digests = []
+            run_operational(
+                annotate(program),
+                st,
+                max_steps=2_000,
+                observer=lambda ev: digests.append(state_digest(ev.after)),
+                max_store=max_store,
+            )
+            assert rep.goal_digests == digests
+        assert rep.limit_exceeded and len(rep.goal_digests) == rep.steps
+
     def test_truncated_run_still_classifies(self):
         p = parse_program("loop @ p(X) ==> p(X).")
         rep = check_soundness(p, parse_store("p(1)."), max_steps=40)
@@ -135,6 +189,32 @@ class TestCheckSoundness:
 
 class TestFuzzSlice:
     def test_soundness_over_seeds(self):
+        for seed in range(80):
+            program, init = generate_random(seed)
+            rep = check_soundness(program, init, max_steps=120)
+            assert rep.ok, f"seed {seed}: {rep.violations}"
+
+    def test_certificate_verdicts_equal_search_verdicts(self):
+        for seed in range(80):
+            program, init = generate_random(seed)
+            pw = annotate(program)
+
+            def cross_check(ev):
+                top = ev.after.goals[0] if ev.after.goals else None
+                if not isinstance(top, InitGoal):
+                    return
+                bare = dataclasses.replace(top, cause=None)
+                searched = ExecutionState((bare,) + ev.after.goals[1:], ev.after.store)
+                got = classify_step(pw, ev.before, ev.after).kind
+                assert got == classify_step(pw, ev.before, searched).kind, f"seed {seed}, step {ev.index}"
+
+            run_operational(pw, init, max_steps=120, observer=cross_check, max_store=64)
+
+    def test_clean_seeds_need_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("certificate check fell back to the search")
+
+        monkeypatch.setattr(chrcp.soundness, "abstract_steps", no_search)
         for seed in range(80):
             program, init = generate_random(seed)
             rep = check_soundness(program, init, max_steps=120)
