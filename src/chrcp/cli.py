@@ -4,7 +4,7 @@
               [--seed N] [--trace out.json]
     chrcp analyze <prog.chrcp> [--json]
     chrcp check <prog.chrcp> [--store f] [--budget N]
-    chrcp fuzz --seeds A..B [--size-preset desk]
+    chrcp fuzz --seeds A..B [--budget N]
 
 Exit codes: 0 success/OK, 1 errors or failed verdicts, 2 step limit hit.
 CHRCP_COLOR=0|1 overrides color auto-detection.
@@ -55,6 +55,13 @@ def cmd_run(args) -> int:
     store = load_store(args.store) if args.store else ()
     trace_out: list[dict] = []
     if args.engine == "abs":
+        prop = ", ".join(r.name for r in program.rules if r.is_propagation)
+        if prop:
+            print(
+                f"warning: --engine abs keeps no propagation history: ==> rules ({prop}) "
+                "may fire until --max-steps",
+                file=sys.stderr,
+            )
         run = run_abstract(program, store_of(store), max_steps=args.max_steps, seed=args.seed)
         final = run.final
         limit = run.limit_exceeded
@@ -172,12 +179,11 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
 
 def cmd_fuzz(args) -> int:
     lo, hi = _parse_seed_range(args.seeds)
-    params = DESK  # the only preset
     failures = []
     truncated = 0
     total_steps = 0
     for seed in range(lo, hi + 1):
-        program, init = generate_random(seed, params)
+        program, init = generate_random(seed, DESK)
         report = check_soundness(program, init, max_steps=args.budget)
         total_steps += report.steps
         if report.limit_exceeded:
@@ -221,7 +227,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser("fuzz", help="soundness-check random programs")
     fz.add_argument("--seeds", required=True, help="inclusive range A..B")
-    fz.add_argument("--size-preset", choices=("desk",), default="desk")
     fz.add_argument("--budget", type=int, default=300)
     fz.set_defaults(func=cmd_fuzz)
     return ap

@@ -23,7 +23,6 @@ from .rules import (
     Pattern,
     Program,
     Rule,
-    canonical_store,
     normalize_rule,
 )
 
@@ -124,11 +123,6 @@ class LabeledStore:
         )
 
 
-def fresh_label(store: LabeledStore, atom: Atom) -> tuple[LabeledStore, tuple[Atom, int]]:
-    store2, n = store.add(atom)
-    return store2, (atom, n)
-
-
 @dataclass(frozen=True)
 class InitGoal:
     body: tuple[Pattern, ...]
@@ -221,8 +215,9 @@ def step(
     store = state.store
 
     if isinstance(goal, InitGoal):
-        lazy_pats = [p for p in goal.body if pw.monotone(p)]
-        eager_pats = [p for p in goal.body if not pw.monotone(p)]
+        lazy_pats, eager_pats = [], []
+        for p in goal.body:
+            (lazy_pats if pw.monotone(p) else eager_pats).append(p)
         lazy_atoms = unfold_body(lazy_pats)
         eager_atoms = unfold_body(eager_pats)
         store2, labels = store.add_many(eager_atoms)
@@ -313,15 +308,23 @@ def step(
 # State validity (preserved by every transition)
 
 
-def validate_state(pw: OccurrenceProgram, state: ExecutionState) -> list[str]:
+def validate_state(pw: OccurrenceProgram, before: ExecutionState, after: ExecutionState) -> list[str]:
+    """Problems the transition `before` -> `after` added to a valid `before`.
+    A transition pops the top goal and pushes goals onto the rest; it takes
+    fresh labels from `before.store.next_label` upwards and appends their
+    entries. So only the pushed goals and the fresh labels are checked."""
     problems: list[str] = []
-    for idx, g in enumerate(state.goals):
+    pushed = after.goals[: max(len(after.goals) - len(before.goals) + 1, 0)]
+    for idx, g in enumerate(pushed):
         if isinstance(g, LazyGoal) and not pw.monotone(g.atom):
             problems.append(f"lazy goal holds non-monotone constraint {g.atom}")
         if isinstance(g, InitGoal) and idx != 0:
             problems.append("init goal below the top of the stack")
-    labels = state.store.labels()
-    if len(set(labels)) != len(labels):
+    first, stop = before.store.next_label, after.store.next_label
+    entries = after.store.entries
+    kept = len(entries) - (stop - first)  # entries not labelled by this step
+    fresh = [n for n, _ in entries[max(kept, 0) :]]
+    if not 0 <= kept <= len(before.store.entries) or fresh != list(range(first, stop)):
         problems.append("duplicate store labels")
     return problems
 
@@ -343,10 +346,6 @@ class OpRun:
     state: ExecutionState
     trace: list[tuple[str, str]]  # (kind, state digest)
     limit_exceeded: bool
-
-    @property
-    def store_atoms(self) -> tuple[Atom, ...]:
-        return canonical_store(self.state.store.atoms())
 
 
 def goal_digest(g: Goal) -> str:
@@ -374,12 +373,12 @@ def run_operational(
     max_steps: int = 10_000,
     seed: int | None = None,
     observer: Callable[[StepEvent], None] | None = None,
-    validate: bool = True,
     max_store: int | None = None,
 ) -> OpRun:
     """Drive the machine from `init` to an empty goal stack.
 
-    `max_store` (optional) aborts divergent runs whose store outgrows desk
+    Each transition is checked against the state before it (`validate_state`),
+    and a problem raises `ChrcpError`. `max_store` (optional) aborts divergent runs whose store outgrows desk
     scale; like the step budget, hitting it sets `limit_exceeded`.
     """
     rng = random.Random(seed) if seed is not None else None
@@ -390,10 +389,9 @@ def run_operational(
         if out is None:
             return OpRun(state, trace, False)
         nxt, kind = out
-        if validate:
-            problems = validate_state(pw, nxt)
-            if problems:
-                raise ChrcpError(f"invalid state after {kind}: {problems}")
+        problems = validate_state(pw, state, nxt)
+        if problems:
+            raise ChrcpError(f"invalid state after {kind}: {problems}")
         if observer is not None:
             observer(StepEvent(index, kind, state, nxt))
         trace.append((kind, state_digest(nxt)))

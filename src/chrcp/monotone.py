@@ -227,10 +227,6 @@ class PatternVerdict:
 class MonotonicityReport:
     verdicts: tuple[PatternVerdict, ...]
 
-    @property
-    def all_monotone(self) -> bool:
-        return all(v.monotone for v in self.verdicts)
-
 
 def residual_non_unifiable(program: Program, patterns: Iterable[Pattern]) -> MonotonicityReport:
     """Verdict per pattern: monotone iff it unifies with no comprehension head."""

@@ -64,6 +64,11 @@ class SourceFile:
 
 KEYWORDS = {"in", "true", "false", "infty", "reduce"}
 
+# Deepest term or guard nesting accepted; every operator, unary minus, bracket
+# and guard is a level. It keeps the recursive passes over accepted terms far
+# inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>%[^\n]*)
@@ -114,6 +119,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     # -- token plumbing
 
@@ -145,6 +151,11 @@ class _Parser:
     def fail(self, message: str):
         t = self.peek()
         raise ParseError(message, t.line, t.col, self.path)
+
+    def descend(self) -> None:  # callers restore `depth` on return
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     # -- programs
 
@@ -269,9 +280,12 @@ class _Parser:
     # -- guards
 
     def parse_guard(self) -> Guard:
+        depth = self.depth
+        self.descend()
         items = [self.parse_guard_conjunct()]
         while self.accept(","):
             items.append(self.parse_guard_conjunct())
+        self.depth = depth
         return conj(*items)
 
     def parse_guard_conjunct(self) -> Guard:
@@ -279,17 +293,17 @@ class _Parser:
             # Distinguish a conjunctive comprehension from a term
             # comprehension on the left of a relation by looking at what
             # follows the closing brace pair: a relation means term context.
-            save = self.pos
+            save = self.pos, self.depth
             try:
                 g = self.parse_conj_comp()
                 if self.peek().kind == "punct" and self.peek().text in (
                     "=", "!=", "<", "<=", ">", ">=",
                 ) or (self.peek().kind == "keyword" and self.peek().text == "in"):
-                    self.pos = save
+                    self.pos, self.depth = save
                 else:
                     return g
             except ParseError:
-                self.pos = save
+                self.pos, self.depth = save
         if self.peek().kind == "keyword" and self.peek().text == "true":
             self.next()
             return GUARD_TRUE
@@ -320,28 +334,32 @@ class _Parser:
     # -- terms
 
     def parse_term(self) -> Term:
+        depth = self.depth
+        self.descend()
         t = self.parse_mult()
-        while True:
-            if self.at("+"):
-                self.next()
-                t = PrimApp("+", (t, self.parse_mult()))
-            elif self.at("-"):
-                self.next()
-                t = PrimApp("-", (t, self.parse_mult()))
-            else:
-                return t
+        while self.at("+") or self.at("-"):
+            op = self.next().text
+            self.descend()
+            t = PrimApp(op, (t, self.parse_mult()))
+        self.depth = depth
+        return t
 
     def parse_mult(self) -> Term:
+        depth = self.depth
         t = self.parse_unary()
         while self.at("*"):
             self.next()
+            self.descend()
             t = PrimApp("*", (t, self.parse_unary()))
+        self.depth = depth
         return t
 
     def parse_unary(self) -> Term:
         if self.at("-"):
-            tok = self.next()
+            self.next()
+            self.descend()
             inner = self.parse_unary()
+            self.depth -= 1
             if isinstance(inner, Int):
                 return Int(-inner.value)
             return PrimApp("-", (Int(0), inner))

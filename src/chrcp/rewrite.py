@@ -10,7 +10,6 @@ fragment and adds the unfolded body. The relation is nondeterministic;
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -32,14 +31,6 @@ Store = tuple[Atom, ...]
 
 def store_of(atoms: Iterable[Atom]) -> Store:
     return canonical_store(ground_atom(a) for a in atoms)
-
-
-def store_diff(store: Store, removed: Iterable[Atom]) -> Store:
-    left = Counter(store)
-    left.subtract(Counter(removed))
-    if any(v < 0 for v in left.values()):
-        raise ValueError("removed constraints not present in store")
-    return canonical_store(left.elements())
 
 
 def store_union(*parts: Iterable[Atom]) -> Store:

@@ -104,10 +104,6 @@ class Comprehension:
 Pattern = Union[Atom, Comprehension]
 
 
-def pattern_free_vars(p: Pattern) -> frozenset[str]:
-    return p.free_vars()
-
-
 def patterns_free_vars(ps: Iterable[Pattern]) -> frozenset[str]:
     out: frozenset[str] = frozenset()
     for p in ps:
@@ -218,10 +214,6 @@ def normalize_program(p: Program) -> Program:
 
 # ---------------------------------------------------------------------------
 # Ground atoms and stores
-
-
-def atom_is_ground(a: Atom) -> bool:
-    return not a.free_vars()
 
 
 def ground_atom(a: Atom) -> Atom:

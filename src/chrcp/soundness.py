@@ -21,6 +21,7 @@ from .machine import (
     OccurrenceProgram,
     StepEvent,
     annotate,
+    initial_state,
     run_operational,
 )
 from .match import MatchResult, matches_exactly, residual_non_match
@@ -112,14 +113,18 @@ def classify_step(
     before: ExecutionState,
     after: ExecutionState,
     oracle_budget: int = 100_000,
+    *,
+    ca: Store | None = None,
 ) -> StepClass:
-    """Silent, one abstract step, or a violation.
+    """Silent, one abstract step, or a violation. `ca`, when given, is the
+    erasure of `before` (`correspondence(before)`).
 
     A firing step carries its certificate on the init goal it pushes; when
     the declarative judgments confirm it, no search is needed. Otherwise the
     step is confirmed by searching every abstract step of the erased store.
     """
-    ca = correspondence(before)
+    if ca is None:
+        ca = correspondence(before)
     cb = correspondence(after)
     if ca == cb:
         return StepClass(SILENT)
@@ -183,25 +188,30 @@ def check_soundness(
 
     Divergent programs are cut off by the step budget and by `max_store`
     (the oracle needs desk-scale stores); truncated runs still classify
-    every executed step.
-    """
+    every executed step. Each state is erased once: a step's `before`
+    erasure is the previous step's `after` erasure."""
     pw = annotate(program)
     report = SoundnessReport()
+    init = tuple(init)
+    erased = correspondence(initial_state(init))
 
     def observe(ev: StepEvent) -> None:
-        cls = classify_step(pw, ev.before, ev.after, oracle_budget)
+        nonlocal erased
+        cls = classify_step(pw, ev.before, ev.after, oracle_budget, ca=erased)
         report.classifications.append((ev.index, ev.kind, cls))
+        if cls.kind != SILENT:
+            erased = cls.after
 
     run = run_operational(
         pw,
-        tuple(init),
+        init,
         max_steps=max_steps,
         seed=seed,
         observer=observe,
         max_store=max_store,
     )
     report.goal_digests = [digest for _, digest in run.trace]
-    report.final_store = correspondence(run.state)
+    report.final_store = erased
     report.limit_exceeded = run.limit_exceeded
     report.steps = len(run.trace)
     return report

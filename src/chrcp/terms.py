@@ -296,9 +296,6 @@ class Substitution:
     def items(self) -> Iterator[tuple[str, Term]]:
         return iter(self._m.items())
 
-    def domain(self) -> tuple[str, ...]:
-        return tuple(self._m)
-
     def mapping(self) -> dict[str, Term]:
         return dict(self._m)
 
@@ -690,14 +687,6 @@ def _bind_into(env: dict[str, Term], names: tuple[str, ...], value: Term) -> Non
         env[name] = v
 
 
-def guard_holds(g: Guard, env: Mapping[str, Term] | None = None) -> bool:
-    """Satisfiability reading: an ill-typed instance simply does not hold."""
-    try:
-        return eval_guard(g, env)
-    except TermTypeError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Reduce registry
 
@@ -709,10 +698,6 @@ _REDUCE_FNS: dict[str, ReduceFn] = {}
 
 def register_reduce_fn(name: str, fn: ReduceFn) -> None:
     _REDUCE_FNS[name] = fn
-
-
-def reduce_fn_names() -> tuple[str, ...]:
-    return tuple(sorted(_REDUCE_FNS))
 
 
 def reduce_eval(fn: str, unit: Term, m: MSet) -> Term:

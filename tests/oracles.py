@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import product
 
 from chrcp.errors import NonGroundError, RebindError, TermTypeError
+from chrcp.machine import InitGoal, LazyGoal
 from chrcp.rules import Atom, Comprehension, Program, Rule, canonical_store
 from chrcp.terms import (
     MSet,
@@ -302,3 +303,19 @@ def oracle_prop_instances(rule: Rule, items) -> set:
         tkey = tuple(sorted((k, term_key(v)) for k, v in theta.items() if k in hv))
         out.add((tkey, labels))
     return out
+
+
+def whole_state_problems(pw, state) -> list[str]:
+    """Reference for `machine.validate_state`: the validity of a whole machine
+    state, re-checked from scratch. Every lazy goal holds a monotone
+    constraint, an init goal sits only on top, and store labels are distinct."""
+    problems: list[str] = []
+    for idx, g in enumerate(state.goals):
+        if isinstance(g, LazyGoal) and not pw.monotone(g.atom):
+            problems.append(f"lazy goal holds non-monotone constraint {g.atom}")
+        if isinstance(g, InitGoal) and idx != 0:
+            problems.append("init goal below the top of the stack")
+    labels = state.store.labels()
+    if len(set(labels)) != len(labels):
+        problems.append("duplicate store labels")
+    return problems

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import chrcp
 from chrcp.bundled import corpus_path
 from chrcp.cli import main
 
@@ -27,12 +32,26 @@ class TestRun:
         assert out.strip() == "data(a, 2), data(a, 3), data(b, 7), data(b, 8)."
 
     def test_abs_engine(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "run", prog("pivot_swap"), "--store", store("pivot_swap"), "--engine", "abs",
         )
         assert code == 0
         assert out.strip() == "data(a, 2), data(a, 3), data(b, 7), data(b, 8)."
+        assert "warning" not in err
+
+    def test_abs_engine_warns_on_propagation_rules(self, capsys, tmp_path):
+        f = tmp_path / "copy.chrcp"
+        f.write_text("copy @ p(X) ==> q(X).\n")
+        s = tmp_path / "s.store"
+        s.write_text("p(1).\n")
+        code, out, err = run_cli(
+            capsys, "run", str(f), "--store", str(s), "--engine", "abs", "--max-steps", "3"
+        )
+        assert code == 2
+        assert out.strip() == "p(1), q(1), q(1), q(1)."
+        warnings = [line for line in err.splitlines() if line.startswith("warning")]
+        assert len(warnings) == 1 and "copy" in warnings[0]
 
     def test_step_limit_exit_code(self, capsys, tmp_path):
         f = tmp_path / "loop.chrcp"
@@ -53,6 +72,20 @@ class TestRun:
         assert code == 0
         records = json.loads(out_file.read_text())
         assert records and {"index", "kind", "classification"} <= set(records[0])
+
+    def test_deep_nesting_exit_one(self, tmp_path):
+        f = tmp_path / "p.chrcp"
+        f.write_text("r @ p(X) <=> q(X).\n")
+        s = tmp_path / "deep.store"
+        s.write_text("p(" + "(" * 3000 + "1" + ")" * 3000 + ").\n")
+        src = str(Path(chrcp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "chrcp.cli", "run", str(f), "--store", str(s)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 1
+        assert "nesting deeper than" in out.stderr and "Traceback" not in out.stderr
 
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"

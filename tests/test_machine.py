@@ -2,10 +2,12 @@ import pytest
 
 from chrcp import corpus_program, corpus_store, machine
 from chrcp.errors import ChrcpError
+from chrcp.fuzz import generate_random
 from chrcp.machine import (
     ActGoal,
     EagerGoal,
     ExecutionState,
+    InitGoal,
     LabeledStore,
     LazyGoal,
     PropGoal,
@@ -21,7 +23,7 @@ from chrcp.rules import Atom
 from chrcp.soundness import correspondence
 from chrcp.terms import Int
 
-from oracles import oracle_prop_instances
+from oracles import oracle_prop_instances, whole_state_problems
 
 
 class TestAnnotate:
@@ -140,9 +142,9 @@ class TestRuns:
             seen = []
 
             def spy(ev):
-                seen.append(validate_state(pw, ev.after))
+                seen.append(whole_state_problems(pw, ev.after))
 
-            run_operational(pw, st, observer=spy, validate=False)
+            run_operational(pw, st, observer=spy)
             assert seen and all(not problems for problems in seen)
 
     def test_no_duplicate_labels_ever(self, remove_min_program, remove_min_store):
@@ -154,7 +156,7 @@ class TestRuns:
             assert len(set(labels)) == len(labels)
 
     def test_invalid_state_raises_chrcp_error(self, relabel_program, monkeypatch):
-        monkeypatch.setattr(machine, "validate_state", lambda pw, s: ["broken"])
+        monkeypatch.setattr(machine, "validate_state", lambda pw, before, after: ["broken"])
         with pytest.raises(ChrcpError, match="invalid state after init"):
             run_operational(annotate(relabel_program), corpus_store("relabel2"))
 
@@ -168,6 +170,70 @@ class TestRuns:
         run = run_operational(annotate(p), parse_store("p(1), q(1), q(1)."))
         final = correspondence(run.state)
         assert final == store_of(parse_store("p(1), s(1), s(1)."))
+
+
+class TestValidateTransition:
+    """`validate_state` checks what one transition pushed and labelled; each
+    hand-built pair breaks one invariant, which the whole-state reference
+    also reports."""
+
+    a1 = Atom("a", (Int(1),))
+    b1 = Atom("b", (Int(1),))
+
+    def check(self, pw, before, after, expected):
+        assert validate_state(pw, before, after) == [expected]
+        assert whole_state_problems(pw, after) == [expected]
+
+    def test_pushed_non_monotone_lazy_goal(self, relabel_program):
+        pw = annotate(relabel_program)  # a/1 feeds a comprehension head
+        before = ExecutionState((InitGoal((self.a1,)),), LabeledStore())
+        after = ExecutionState((LazyGoal(self.a1),), LabeledStore())
+        self.check(pw, before, after, f"lazy goal holds non-monotone constraint {self.a1}")
+
+    def test_init_goal_pushed_below_the_top(self, relabel_program):
+        pw = annotate(relabel_program)
+        store = LabeledStore(((1, self.b1),), 2)
+        before = ExecutionState((ActGoal(self.b1, 1, 1),), store)
+        after = ExecutionState((ActGoal(self.b1, 1, 2), InitGoal(())), store)
+        self.check(pw, before, after, "init goal below the top of the stack")
+
+    def test_label_given_twice(self, relabel_program):
+        pw = annotate(relabel_program)
+        before = ExecutionState((LazyGoal(self.b1),), LabeledStore(((1, self.a1),), 2))
+        relabelled = LabeledStore(((1, self.a1), (1, self.b1)), 2)
+        after = ExecutionState((ActGoal(self.b1, 1, 1),), relabelled)
+        self.check(pw, before, after, "duplicate store labels")
+
+    def test_real_transitions_pass(self, relabel_program):
+        pw = annotate(relabel_program)
+        state = initial_state(parse_store("a(1), b(2)."))
+        while (out := step(pw, state)) is not None:
+            assert validate_state(pw, state, out[0]) == []
+            state = out[0]
+
+    def test_agrees_with_whole_state_check(self):
+        cases = [generate_random(seed) for seed in range(80)] + [
+            (corpus_program(prog), corpus_store(st))
+            for prog, st in (
+                ("pivot_swap", "pivot_swap"),
+                ("relabel", "relabel2"),
+                ("relabel", "relabel3"),
+                ("pair_prop", "pair2"),
+                ("pair_prop", "pair3"),
+                ("remove_non_min", "remove_non_min"),
+            )
+        ]
+        steps = 0
+        for program, init in cases:
+            pw = annotate(program)
+
+            def agree(ev):
+                nonlocal steps
+                steps += 1
+                assert validate_state(pw, ev.before, ev.after) == whole_state_problems(pw, ev.after)
+
+            run_operational(pw, init, max_steps=120, observer=agree, max_store=64)
+        assert steps > 1000
 
 
 class TestSaturation:

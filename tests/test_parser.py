@@ -3,6 +3,7 @@ import pytest
 from chrcp.errors import NonGroundError, ParseError, ScopeError
 from chrcp.fuzz import generate_random
 from chrcp.parse import (
+    MAX_NESTING,
     parse_program,
     parse_store,
     pretty_program,
@@ -11,6 +12,7 @@ from chrcp.parse import (
 from chrcp.rules import Atom, Comprehension
 from chrcp.terms import (
     Bind,
+    PrimApp,
     Inf,
     Int,
     MSet,
@@ -21,6 +23,8 @@ from chrcp.terms import (
     TermComp,
     TupleTerm,
     Var,
+    norm_loose,
+    term_key,
 )
 
 
@@ -99,6 +103,30 @@ class TestTerms:
         (r,) = parse_program("r @ p(X) <=> W = X + 2 * 3 | q(W).").rules
         bind = r.guard
         assert bind.value.op == "+"
+
+
+class TestNestingBound:
+    def test_deep_parentheses_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting deeper than") as info:
+            parse_store("p(" + "(" * 3000 + "1" + ")" * 3000 + ").")
+        assert (info.value.line, info.value.col) == (1, 3 + MAX_NESTING)
+
+    def test_deep_unary_minus_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting deeper than") as info:
+            parse_store("p(\n" + "-" * 5000 + "1).")
+        assert (info.value.line, info.value.col) == (2, MAX_NESTING + 1)
+
+    def test_long_operator_chain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_program("r @ p(X) <=> q(" + "+".join(["X"] * 3000) + ").")
+
+    def test_deepest_accepted_terms_stay_recursion_safe(self):
+        (sums,) = parse_program("r @ p(X) <=> q(" + "+".join(["X"] * MAX_NESTING) + ").").rules
+        (nested,) = parse_store("p(" + "[" * (MAX_NESTING - 1) + "1" + "]" * (MAX_NESTING - 1) + ").")
+        (negated,) = parse_program("r @ p(X) <=> q(" + "-" * (MAX_NESTING - 1) + "X).").rules
+        for t in (sums.body[0].args[0], nested.args[0], negated.body[0].args[0]):
+            assert term_key(t) and norm_loose(t) == t
+        assert isinstance(sums.body[0].args[0], PrimApp)
 
 
 class TestParseStore:

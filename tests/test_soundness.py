@@ -116,7 +116,33 @@ class TestClassify:
         assert cls.kind == ABSTRACT and cls.step.theta == m.theta
 
 
+    def test_passed_erasure_gives_the_same_verdict(self, pivot_program, remove_min_program, remove_min_store):
+        for program, init in (
+            (pivot_program, corpus_store("pivot_swap")),
+            (remove_min_program, remove_min_store),
+        ):
+            pw, events = self.collect(program, init)
+            for ev in events:
+                default = classify_step(pw, ev.before, ev.after)
+                passed = classify_step(pw, ev.before, ev.after, ca=correspondence(ev.before))
+                assert passed == default
+
+
 class TestCheckSoundness:
+    def test_each_state_erased_once(self, pivot_program, monkeypatch):
+        calls = []
+        erase = chrcp.soundness.correspondence
+
+        def counted(state):
+            calls.append(state)
+            return erase(state)
+
+        monkeypatch.setattr(chrcp.soundness, "correspondence", counted)
+        rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
+        assert rep.ok and len(calls) == rep.steps + 1
+        run = run_operational(annotate(pivot_program), corpus_store("pivot_swap"))
+        assert rep.final_store == erase(run.state)
+
     def test_pivot_swap_ok(self, pivot_program):
         rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
         assert rep.ok and not rep.limit_exceeded
