@@ -13,7 +13,6 @@ from .errors import (
     BudgetError,
     ChrcpError,
     NonGroundError,
-    OracleBudgetError,
     ParseError,
     RebindError,
     ScopeError,
@@ -55,9 +54,9 @@ from .parse import (
     pretty_term,
 )
 from .rewrite import (
+    MAX_STEPS,
     AbstractStep,
     abstract_steps,
-    reachable,
     run_abstract,
     store_of,
     unfold_body,

@@ -3,10 +3,16 @@
     chrcp run <prog.chrcp> [--store f] [--engine op|abs] [--max-steps N]
               [--seed N] [--trace out.json]
     chrcp analyze <prog.chrcp> [--json]
-    chrcp check <prog.chrcp> [--store f] [--budget N]
-    chrcp fuzz --seeds A..B [--budget N]
+    chrcp check <prog.chrcp> [--store f] [--max-steps N] [--trace out.json]
+    chrcp fuzz --seeds A..B [--max-steps N]
 
-Exit codes: 0 success/OK, 1 errors or failed verdicts, 2 step limit hit.
+`run` and `check` stop after --max-steps steps (default 10000); `fuzz`
+stops each random program after --max-steps steps (default 300) or once its
+store holds more than 64 constraints.
+
+Exit codes of `run` and `check`: 0 the run finished with no violation, 1 an
+error or a violation, 2 a limit stopped the run (stderr names it). `fuzz`
+exits 0 when every seed is OK and 1 otherwise.
 CHRCP_COLOR=0|1 overrides color auto-detection.
 """
 
@@ -16,15 +22,15 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .errors import ChrcpError
-from .fuzz import DESK, generate_random
+from .fuzz import DESK, STORE_CAP, generate_random
 from .machine import annotate, run_operational
 from .monotone import predicate_report, residual_non_unifiable
 from .parse import load_program, load_store, pretty_pattern, pretty_store
-from .rewrite import run_abstract, store_of
-from .rules import canonical_store
-from .soundness import check_soundness, correspondence, trace_records
+from .rewrite import MAX_STEPS, run_abstract, store_of
+from .soundness import check_soundness, correspondence, trace_record, trace_records
 
 
 def _use_color(stream) -> bool:
@@ -50,10 +56,14 @@ def _bad(text: str) -> str:
     return _paint(text, "31")
 
 
+def _note_truncated(limit: str) -> None:
+    """Name on stderr the limit (such as "step budget 40") that stopped a run."""
+    print(_bad(f"truncated: {limit} reached before the run finished"), file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     program = load_program(args.program)
     store = load_store(args.store) if args.store else ()
-    trace_out: list[dict] = []
     if args.engine == "abs":
         prop = ", ".join(r.name for r in program.rules if r.is_propagation)
         if prop:
@@ -64,41 +74,18 @@ def cmd_run(args) -> int:
             )
         run = run_abstract(program, store_of(store), max_steps=args.max_steps, seed=args.seed)
         final = run.final
-        limit = run.limit_exceeded
-        for i, step in enumerate(run.steps):
-            trace_out.append(
-                {
-                    "index": i,
-                    "kind": "apply",
-                    "rule": step.rule,
-                    "goalDigest": None,
-                    "storeBefore": None,
-                    "storeAfter": None,
-                    "classification": None,
-                }
-            )
+        trace_out = [trace_record(i, "apply", rule=step.rule) for i, step in enumerate(run.steps)]
     else:
         pw = annotate(program)
         run = run_operational(pw, store, max_steps=args.max_steps, seed=args.seed)
-        final = canonical_store(correspondence(run.state))
-        limit = run.limit_exceeded
-        for i, (kind, digest) in enumerate(run.trace):
-            trace_out.append(
-                {
-                    "index": i,
-                    "kind": kind,
-                    "goalDigest": digest,
-                    "storeBefore": None,
-                    "storeAfter": None,
-                    "classification": None,
-                }
-            )
+        final = correspondence(run.state)
+        trace_out = [trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace)]
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(trace_out, fh, indent=2)
     print(pretty_store(final))
-    if limit:
-        print(_bad("step limit exceeded"), file=sys.stderr)
+    if run.truncated:
+        _note_truncated(run.truncated)
         return 2
     return 0
 
@@ -150,7 +137,7 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     program = load_program(args.program)
     store = load_store(args.store) if args.store else ()
-    report = check_soundness(program, store, max_steps=args.budget)
+    report = check_soundness(program, store, max_steps=args.max_steps)
     counts = report.counts()
     print(
         f"steps={report.steps} silent={counts['silent']} "
@@ -163,38 +150,46 @@ def cmd_check(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(trace_records(report), fh, indent=2)
-    if report.limit_exceeded:
-        print("note: step budget exhausted before termination", file=sys.stderr)
-    print(_ok("OK") if report.ok else _bad("FAIL"))
-    return 0 if report.ok else 1
+    if report.truncated:
+        _note_truncated(report.truncated)
+    if not report.ok:
+        print(_bad("FAIL"))
+        return 1
+    if report.truncated:
+        print(_bad(f"TRUNCATED: no violation in the {report.steps} steps checked"))
+        return 2
+    print(_ok("OK"))
+    return 0
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return int(a), int(b)
-    v = int(text)
-    return v, v
+    a, dots, b = text.partition("..")
+    try:
+        return int(a), int(b if dots else a)
+    except ValueError:
+        raise ChrcpError(f"bad seed range {text!r}: expected A..B or N") from None
 
 
 def cmd_fuzz(args) -> int:
     lo, hi = _parse_seed_range(args.seeds)
     failures = []
-    truncated = 0
+    truncated: Counter[str] = Counter()
     total_steps = 0
     for seed in range(lo, hi + 1):
         program, init = generate_random(seed, DESK)
-        report = check_soundness(program, init, max_steps=args.budget)
+        report = check_soundness(program, init, max_steps=args.max_steps, max_store=STORE_CAP)
         total_steps += report.steps
-        if report.limit_exceeded:
-            truncated += 1
+        if report.truncated:
+            truncated[report.truncated] += 1
         if not report.ok:
             failures.append(seed)
             print(_bad(f"seed {seed}: {len(report.violations)} violation(s)"))
     n = hi - lo + 1
+    by_limit = ", ".join(f"{k} at the {limit}" for limit, k in sorted(truncated.items()))
+    by_limit = f" ({by_limit})" if by_limit else ""
     print(
         f"seeds {lo}..{hi}: {n - len(failures)}/{n} OK, "
-        f"{truncated} truncated, {total_steps} machine steps"
+        f"{sum(truncated.values())} truncated{by_limit}, {total_steps} machine steps"
     )
     print(_ok("OK") if not failures else _bad("FAIL"))
     return 0 if not failures else 1
@@ -208,7 +203,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("program")
     run.add_argument("--store")
     run.add_argument("--engine", choices=("op", "abs"), default="op")
-    run.add_argument("--max-steps", type=int, default=10_000)
+    run.add_argument("--max-steps", type=int, default=MAX_STEPS)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trace")
     run.set_defaults(func=cmd_run)
@@ -221,13 +216,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="differential soundness check")
     ck.add_argument("program")
     ck.add_argument("--store")
-    ck.add_argument("--budget", type=int, default=2_000)
+    ck.add_argument("--max-steps", type=int, default=MAX_STEPS)
     ck.add_argument("--trace")
     ck.set_defaults(func=cmd_check)
 
     fz = sub.add_parser("fuzz", help="soundness-check random programs")
     fz.add_argument("--seeds", required=True, help="inclusive range A..B")
-    fz.add_argument("--budget", type=int, default=300)
+    fz.add_argument("--max-steps", type=int, default=300)
     fz.set_defaults(func=cmd_fuzz)
     return ap
 

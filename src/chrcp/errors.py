@@ -32,10 +32,6 @@ class BudgetError(ChrcpError):
     """A configured search bound was exceeded."""
 
 
-class OracleBudgetError(BudgetError):
-    """The single-step confirmation search exceeded its bound."""
-
-
 class ParseError(ChrcpError):
     def __init__(self, message: str, line: int, col: int, path: str = "<input>"):
         self.line = line

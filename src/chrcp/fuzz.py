@@ -28,6 +28,10 @@ class SizeParams:
 
 DESK = SizeParams()
 
+# Store cap of the random-program sweeps (`chrcp fuzz`): some generated
+# programs double their store on every propagation firing.
+STORE_CAP = 64
+
 _CMP_OPS = ("<", "<=", ">", ">=", "!=")
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Union
 from .errors import ChrcpError
 from .match import MatchResult, enumerate_matches
 from .monotone import is_monotone
-from .rewrite import unfold_body
+from .rewrite import MAX_STEPS, unfold_body
 from .rules import (
     Atom,
     Pattern,
@@ -46,7 +46,6 @@ class OccurrenceProgram:
     source: Program
     rules: tuple[AnnotatedRule, ...]
     table: dict  # occurrence index -> (AnnotatedRule, head position)
-    max_occurrence: int
     _mono_cache: dict = field(default_factory=dict, repr=False)
 
     def lookup(self, i: int):
@@ -76,7 +75,7 @@ def annotate(program: Program) -> OccurrenceProgram:
         for pos, idx in enumerate(ar.occurrences):
             table[idx] = (ar, pos)
         rules.append(ar)
-    return OccurrenceProgram(program, tuple(rules), table, i)
+    return OccurrenceProgram(program, tuple(rules), table)
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +98,6 @@ class LabeledStore:
 
     def __contains__(self, label: int) -> bool:
         return any(n == label for n, _ in self.entries)
-
-    def get(self, label: int) -> Atom | None:
-        for n, a in self.entries:
-            if n == label:
-                return a
-        return None
 
     def add(self, atom: Atom) -> tuple["LabeledStore", int]:
         n = self.next_label
@@ -345,7 +338,7 @@ class StepEvent:
 class OpRun:
     state: ExecutionState
     trace: list[tuple[str, str]]  # (kind, state digest)
-    limit_exceeded: bool
+    truncated: str | None  # the limit that stopped the run, e.g. "step budget 40"
 
 
 def goal_digest(g: Goal) -> str:
@@ -370,7 +363,7 @@ def state_digest(s: ExecutionState) -> str:
 def run_operational(
     pw: OccurrenceProgram,
     init: Iterable[Pattern],
-    max_steps: int = 10_000,
+    max_steps: int = MAX_STEPS,
     seed: int | None = None,
     observer: Callable[[StepEvent], None] | None = None,
     max_store: int | None = None,
@@ -378,8 +371,9 @@ def run_operational(
     """Drive the machine from `init` to an empty goal stack.
 
     Each transition is checked against the state before it (`validate_state`),
-    and a problem raises `ChrcpError`. `max_store` (optional) aborts divergent runs whose store outgrows desk
-    scale; like the step budget, hitting it sets `limit_exceeded`.
+    and a problem raises `ChrcpError`. The run stops early after `max_steps`
+    steps, or once the store holds more than `max_store` constraints (no cap
+    when None); `truncated` then names the limit it hit.
     """
     rng = random.Random(seed) if seed is not None else None
     state = initial_state(init)
@@ -387,7 +381,7 @@ def run_operational(
     for index in range(max_steps):
         out = step(pw, state, rng)
         if out is None:
-            return OpRun(state, trace, False)
+            return OpRun(state, trace, None)
         nxt, kind = out
         problems = validate_state(pw, state, nxt)
         if problems:
@@ -397,5 +391,5 @@ def run_operational(
         trace.append((kind, state_digest(nxt)))
         state = nxt
         if max_store is not None and len(state.store.entries) > max_store:
-            return OpRun(state, trace, True)
-    return OpRun(state, trace, not state.terminal)
+            return OpRun(state, trace, f"store cap {max_store}")
+    return OpRun(state, trace, None if state.terminal else f"step budget {max_steps}")

@@ -41,6 +41,7 @@ from .terms import (
     conjuncts,
     eval_guard_env,
     eval_term,
+    guard_vars,
     is_ground,
     norm_loose,
     normalize,
@@ -296,7 +297,7 @@ def _try_conjunct(c: Guard, env: dict[str, Term], solvable: frozenset[str]):
         return True, env2
     if isinstance(c, ConjComp):
         dom = norm_loose(subst_term(env, c.domain))
-        body_open = term_vars(c.body) - frozenset(c.binders) - set(env)
+        body_open = guard_vars(c.body) - frozenset(c.binders) - set(env)
         if not is_ground(dom) or body_open:
             return _DEFER, env
         try:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NonGroundError, ParseError, ScopeError
+from .errors import ChrcpError, NonGroundError, ParseError, ScopeError
 from .rules import (
     Atom,
     Comprehension,
@@ -441,7 +441,7 @@ class _Parser:
             binders, domain = self.parse_binder_clause()
             return TermComp(template, guard, binders, domain)
         self.fail(f"unexpected token {t.text!r}" if t.text else "unexpected end of input")
-        raise AssertionError  # unreachable
+        raise AssertionError  # self.fail always raises
 
     # -- stores
 
@@ -511,7 +511,12 @@ def parse_store(text: str, path: str = "<input>") -> tuple[Atom, ...]:
 
 def load_source(path: str | Path, kind: str) -> SourceFile:
     p = Path(path)
-    return SourceFile(str(p), p.read_text(encoding="utf-8"), kind)
+    try:
+        return SourceFile(str(p), p.read_text(encoding="utf-8"), kind)
+    except OSError as exc:
+        raise ChrcpError(f"{p}: cannot read {kind}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ChrcpError(f"{p}: {kind} is not UTF-8 text (byte {exc.start})") from None
 
 
 def load_program(path: str | Path, check: bool = True) -> Program:

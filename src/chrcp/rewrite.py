@@ -3,17 +3,17 @@
 A store is a canonical multiset of ground constraints. One step picks a rule
 instance whose heads match store fragments maximally, removes the simplified
 fragment and adds the unfolded body. The relation is nondeterministic;
-`run_abstract` fixes a deterministic policy (perturbable by seed), while
-`reachable` explores the whole relation for oracle use.
+`run_abstract` fixes a deterministic policy (perturbable by seed), and
+`abstract_steps` lists every step of a store.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .errors import BudgetError, NonGroundError
+from .errors import NonGroundError
 from .match import MatchResult, comp_element_instance, enumerate_matches
 from .rules import (
     Atom,
@@ -28,16 +28,13 @@ from .terms import MSet, Substitution, normalize
 
 Store = tuple[Atom, ...]
 
+# Default step budget of every run: `run_abstract`, `run_operational`,
+# `check_soundness`, `chrcp run` and `chrcp check`.
+MAX_STEPS = 10_000
+
 
 def store_of(atoms: Iterable[Atom]) -> Store:
     return canonical_store(ground_atom(a) for a in atoms)
-
-
-def store_union(*parts: Iterable[Atom]) -> Store:
-    out: list[Atom] = []
-    for p in parts:
-        out.extend(p)
-    return canonical_store(out)
 
 
 def unfold_body(patterns: Iterable[Pattern]) -> list[Atom]:
@@ -80,27 +77,20 @@ def rule_application(rule: Rule, match: MatchResult, store_items) -> tuple[Abstr
     body = match.theta.apply(rule.body)
     produced = canonical_store(unfold_body(body))
     remaining = [a for i, a in store_items if i not in consumed_ids]
-    successor = store_union(remaining, produced)
+    successor = canonical_store(remaining + list(produced))
     return AbstractStep(rule.name, match.theta, consumed, produced), successor
 
 
-def abstract_steps(
-    program: Program,
-    store: Store,
-    rule_filter: Callable[[Rule], bool] | None = None,
-) -> Iterator[tuple[AbstractStep, Store]]:
+def abstract_steps(program: Program, store: Store) -> Iterator[tuple[AbstractStep, Store]]:
     """Every applicable rule instance, in deterministic order.
 
     Duplicate instances arising from different partitions of equal
-    constraints collapse to one entry. `rule_filter` restricts which rules
-    are tried (used by the soundness oracle to skip impossible rules).
+    constraints collapse to one entry.
     """
     program = normalize_program(program)
     items = list(enumerate(store))
     seen: set = set()
     for rule in program.rules:
-        if rule_filter is not None and not rule_filter(rule):
-            continue
         for match in enumerate_matches(rule, items, check_maximality=True):
             step, successor = rule_application(rule, match, items)
             key = (step.rule, step.theta.key(), step.consumed, step.produced)
@@ -114,10 +104,10 @@ def abstract_steps(
 class AbstractRun:
     final: Store
     steps: list[AbstractStep]
-    limit_exceeded: bool
+    truncated: str | None  # the limit that stopped the run, e.g. "step budget 40"
 
 
-def run_abstract(program: Program, store: Store, max_steps: int = 1000, seed: int = 0) -> AbstractRun:
+def run_abstract(program: Program, store: Store, max_steps: int = MAX_STEPS, seed: int = 0) -> AbstractRun:
     """Iterate single steps until quiescence or the step budget runs out.
 
     The successor choice at each step is deterministic for a fixed seed.
@@ -135,39 +125,9 @@ def run_abstract(program: Program, store: Store, max_steps: int = 1000, seed: in
     for _ in range(max_steps):
         options = changing(current)
         if not options:
-            return AbstractRun(current, steps, False)
+            return AbstractRun(current, steps, None)
         step, successor = options[rng.randrange(len(options))] if len(options) > 1 else options[0]
         steps.append(step)
         current = successor
-    if changing(current):
-        return AbstractRun(current, steps, True)
-    return AbstractRun(current, steps, False)
-
-
-def reachable(
-    program: Program,
-    store: Store,
-    depth: int,
-    *,
-    max_store: int = 24,
-    max_frontier: int = 4096,
-) -> frozenset[Store]:
-    """All stores reachable within `depth` steps (the start store included)."""
-    start = store_of(store)
-    if len(start) > max_store:
-        raise BudgetError(f"store size {len(start)} exceeds bound {max_store}")
-    seen: set[Store] = {start}
-    frontier: set[Store] = {start}
-    for _ in range(depth):
-        nxt: set[Store] = set()
-        for st in frontier:
-            for _, succ in abstract_steps(program, st):
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.add(succ)
-                if len(seen) > max_frontier:
-                    raise BudgetError(f"reachable set exceeds bound {max_frontier}")
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
+    truncated = f"step budget {max_steps}" if changing(current) else None
+    return AbstractRun(current, steps, truncated)

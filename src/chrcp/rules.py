@@ -302,14 +302,14 @@ def check_rule(r: Rule) -> list[Diagnostic]:
                 out.append(
                     Diagnostic("duplicate-binders", r.name, f"binders {h.binders}")
                 )
-            reachable: set[str] = set()
+            collectable: set[str] = set()
             for t in h.atom.args:
-                reachable |= term_vars(t)
+                collectable |= term_vars(t)
             for c in conjuncts(h.guard):
                 if isinstance(c, Rel) and c.op == "=":
-                    reachable |= term_vars(c.lhs) | term_vars(c.rhs)
+                    collectable |= term_vars(c.lhs) | term_vars(c.rhs)
             for b in h.binders:
-                if b not in reachable:
+                if b not in collectable:
                     out.append(
                         Diagnostic(
                             "binder-unanchored",

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import NonGroundError, OracleBudgetError, RebindError, TermTypeError
+from .errors import BudgetError, NonGroundError, RebindError, TermTypeError
 from .machine import (
     ExecutionState,
     InitGoal,
@@ -25,7 +25,8 @@ from .machine import (
     run_operational,
 )
 from .match import MatchResult, matches_exactly, residual_non_match
-from .rewrite import AbstractStep, Store, abstract_steps, unfold_body
+from .parse import pretty_store
+from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, unfold_body
 from .rules import Atom, Pattern, Program, Rule, canonical_store
 from .terms import eval_guard_env, guard_bind_vars
 
@@ -59,16 +60,8 @@ class StepClass:
         return self.kind != VIOLATION
 
 
-def _removable_by(rule, removed: Counter) -> bool:
-    """Sound prefilter: can the rule's simplified heads possibly account for
-    the observed removal delta? (Produced constraints may mask consumption,
-    so only a shortfall against a fixed-arity head disqualifies a rule.)"""
-    atom_counts = Counter(p.pred for p in rule.simplified if isinstance(p, Atom))
-    comp_preds = {p.atom.pred for p in rule.simplified if not isinstance(p, Atom)}
-    for pred, n in removed.items():
-        if n > atom_counts.get(pred, 0) and pred not in comp_preds:
-            return False
-    return True
+# Candidate steps the fallback search may examine for one machine step.
+ORACLE_BUDGET = 100_000
 
 
 def _confirm_certificate(
@@ -112,7 +105,6 @@ def classify_step(
     pw: OccurrenceProgram,
     before: ExecutionState,
     after: ExecutionState,
-    oracle_budget: int = 100_000,
     *,
     ca: Store | None = None,
 ) -> StepClass:
@@ -136,18 +128,9 @@ def classify_step(
             astep = None
         if astep is not None:
             return StepClass(ABSTRACT, step=astep, before=ca, after=cb)
-    removed = Counter(a.pred for a in ca)
-    removed.subtract(Counter(a.pred for a in cb))
-    removed = Counter({p: n for p, n in removed.items() if n > 0})
-    examined = 0
-    for astep, succ in abstract_steps(
-        pw.source, ca, rule_filter=lambda r: _removable_by(r, removed)
-    ):
-        examined += 1
-        if examined > oracle_budget:
-            raise OracleBudgetError(
-                f"more than {oracle_budget} candidate steps while confirming"
-            )
+    for examined, (astep, succ) in enumerate(abstract_steps(pw.source, ca), 1):
+        if examined > ORACLE_BUDGET:
+            raise BudgetError(f"more than {ORACLE_BUDGET} candidate steps while confirming")
         if succ == cb:
             return StepClass(ABSTRACT, step=astep, before=ca, after=cb)
     return StepClass(VIOLATION, before=ca, after=cb)
@@ -158,7 +141,7 @@ class SoundnessReport:
     classifications: list[tuple[int, str, StepClass]] = field(default_factory=list)
     goal_digests: list[str] = field(default_factory=list)
     final_store: Store = ()
-    limit_exceeded: bool = False
+    truncated: str | None = None  # the limit that stopped the run, e.g. "store cap 64"
     steps: int = 0
 
     @property
@@ -179,17 +162,16 @@ class SoundnessReport:
 def check_soundness(
     program: Program,
     init: Iterable[Pattern],
-    max_steps: int = 2_000,
-    oracle_budget: int = 100_000,
-    seed: int | None = None,
-    max_store: int | None = 64,
+    max_steps: int = MAX_STEPS,
+    max_store: int | None = None,
 ) -> SoundnessReport:
     """Run the machine, classifying every transition against the oracle.
 
-    Divergent programs are cut off by the step budget and by `max_store`
-    (the oracle needs desk-scale stores); truncated runs still classify
-    every executed step. Each state is erased once: a step's `before`
-    erasure is the previous step's `after` erasure."""
+    The run stops at the same limits as `run_operational`: `max_steps`
+    steps, and `max_store` constraints when given. A truncated run still
+    classifies every step it executed, and `truncated` names the limit hit.
+    Each state is erased once: a step's `before` erasure is the previous
+    step's `after` erasure."""
     pw = annotate(program)
     report = SoundnessReport()
     init = tuple(init)
@@ -197,41 +179,47 @@ def check_soundness(
 
     def observe(ev: StepEvent) -> None:
         nonlocal erased
-        cls = classify_step(pw, ev.before, ev.after, oracle_budget, ca=erased)
+        cls = classify_step(pw, ev.before, ev.after, ca=erased)
         report.classifications.append((ev.index, ev.kind, cls))
         if cls.kind != SILENT:
             erased = cls.after
 
-    run = run_operational(
-        pw,
-        init,
-        max_steps=max_steps,
-        seed=seed,
-        observer=observe,
-        max_store=max_store,
-    )
+    run = run_operational(pw, init, max_steps=max_steps, observer=observe, max_store=max_store)
     report.goal_digests = [digest for _, digest in run.trace]
     report.final_store = erased
-    report.limit_exceeded = run.limit_exceeded
+    report.truncated = run.truncated
     report.steps = len(run.trace)
     return report
 
 
-def trace_records(report: SoundnessReport) -> list[dict]:
-    """JSON-ready per-step records."""
-    from .parse import pretty_store
-
-    out = []
-    for pos, (index, kind, cls) in enumerate(report.classifications):
-        rec: dict = {
-            "index": index,
-            "kind": kind,
-            "goalDigest": report.goal_digests[pos] if pos < len(report.goal_digests) else None,
-            "storeBefore": pretty_store(cls.before) if cls.before is not None else None,
-            "storeAfter": pretty_store(cls.after) if cls.after is not None else None,
-            "classification": cls.kind,
-        }
+def trace_record(
+    index: int,
+    kind: str,
+    *,
+    rule: str | None = None,
+    digest: str | None = None,
+    cls: StepClass | None = None,
+) -> dict:
+    """One JSON-ready record of `docs/trace-format.md`. `rule` names the
+    declarative engine's step; `cls` is the classification of a checked step."""
+    rec: dict = {"index": index, "kind": kind}
+    if rule is not None:
+        rec["rule"] = rule
+    rec.update(goalDigest=digest, storeBefore=None, storeAfter=None, classification=None)
+    if cls is not None:
+        if cls.before is not None:
+            rec["storeBefore"] = pretty_store(cls.before)
+        if cls.after is not None:
+            rec["storeAfter"] = pretty_store(cls.after)
+        rec["classification"] = cls.kind
         if cls.step is not None:
             rec["rule"] = cls.step.rule
-        out.append(rec)
-    return out
+    return rec
+
+
+def trace_records(report: SoundnessReport) -> list[dict]:
+    """JSON-ready per-step records of a check."""
+    return [
+        trace_record(index, kind, digest=digest, cls=cls)
+        for (index, kind, cls), digest in zip(report.classifications, report.goal_digests)
+    ]

@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 
 from chrcp import corpus_program, corpus_store
-from chrcp.fuzz import generate_random
+from chrcp.fuzz import STORE_CAP, generate_random
 from chrcp.machine import annotate, run_operational
 from chrcp.match import maximality_disabled
 from chrcp.monotone import is_monotone
@@ -68,7 +68,7 @@ def test_criterion_3_pivot_swap_end_to_end(pivot_program, pivot_store):
         # pre-verified by the brute-force oracle before trusting the engines
         assert oracle_successors(pivot_program, store_of(pivot_store)) == {expected}
         ab = run_abstract(pivot_program, store_of(pivot_store), max_steps=10)
-        assert not ab.limit_exceeded and ab.final == expected
+        assert ab.truncated is None and ab.final == expected
         op = run_operational(annotate(pivot_program), pivot_store)
         assert op.state.terminal
         assert correspondence(op.state) == expected
@@ -126,7 +126,7 @@ def test_criterion_6_soundness_1000_seeds(relabel_program):
     with criterion(6, "1000-seed differential soundness sweep + negative control", 300.0):
         for seed in range(1000):
             program, init = generate_random(seed)
-            report = check_soundness(program, init, max_steps=150)
+            report = check_soundness(program, init, max_steps=150, max_store=STORE_CAP)
             assert report.ok, f"seed {seed}: {report.violations}"
         with maximality_disabled():
             control = check_soundness(relabel_program, corpus_store("relabel3"))

@@ -62,6 +62,7 @@ class TestRun:
             capsys, "run", str(f), "--store", str(s), "--max-steps", "30"
         )
         assert code == 2
+        assert "step budget 30" in err
 
     def test_trace_output(self, capsys, tmp_path):
         out_file = tmp_path / "trace.json"
@@ -93,6 +94,19 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(f))
         assert code == 1
         assert "expected" in err
+
+    def test_missing_file_exit_one(self, capsys, tmp_path):
+        missing = tmp_path / "nope.chrcp"
+        code, _, err = run_cli(capsys, "run", str(missing))
+        assert code == 1
+        assert str(missing) in err and "Traceback" not in err
+
+    def test_non_utf8_file_exit_one(self, capsys, tmp_path):
+        f = tmp_path / "latin1.chrcp"
+        f.write_bytes(b"r @ p(X) <=> q(X).\n% \xe9t\xe9\n")
+        code, _, err = run_cli(capsys, "run", str(f))
+        assert code == 1
+        assert str(f) in err and "UTF-8" in err and "Traceback" not in err
 
 
 class TestAnalyze:
@@ -131,10 +145,47 @@ class TestCheck:
         assert out.strip().endswith("OK")
         assert "violations=0" in out
 
+    def test_step_budget_exit_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        f = tmp_path / "loop.chrcp"
+        f.write_text("loop @ p(X) ==> p(X).\n")
+        s = tmp_path / "s.store"
+        s.write_text("p(1).\n")
+        code, out, err = run_cli(capsys, "check", str(f), "--store", str(s), "--max-steps", "40")
+        assert code == 2
+        assert "steps=40 " in out and "violations=0" in out
+        assert "OK" not in out.split()
+        assert "step budget 40" in err
+
+    def test_large_store_checks_every_step(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        data = [f"data({agent}, {v})" for agent in "ab" for v in range(0, 1000, 10)]
+        s = tmp_path / "pivot201.store"
+        s.write_text(", ".join(["swap(a, b, 500)"] + data) + ".\n")
+        trace = tmp_path / "trace.json"
+        code, _, _ = run_cli(capsys, "run", prog("pivot_swap"), "--store", str(s), "--trace", str(trace))
+        assert code == 0
+        records = len(json.loads(trace.read_text()))
+        code, out, err = run_cli(capsys, "check", prog("pivot_swap"), "--store", str(s))
+        assert code == 0 and err == ""
+        assert f"steps={records} " in out and "violations=0" in out
+        assert out.strip().endswith("OK")
+
 
 class TestFuzz:
     def test_small_sweep(self, capsys, monkeypatch):
         monkeypatch.setenv("CHRCP_COLOR", "0")
-        code, out, _ = run_cli(capsys, "fuzz", "--seeds", "0..5", "--budget", "100")
+        code, out, _ = run_cli(capsys, "fuzz", "--seeds", "0..5", "--max-steps", "100")
         assert code == 0
         assert "6/6 OK" in out
+
+    def test_store_cap_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        code, out, _ = run_cli(capsys, "fuzz", "--seeds", "486..486", "--max-steps", "150")
+        assert code == 0
+        assert "1 truncated (1 at the store cap 64)" in out
+
+    def test_malformed_seed_range_exit_one(self, capsys):
+        code, _, err = run_cli(capsys, "fuzz", "--seeds", "5..x")
+        assert code == 1
+        assert "5..x" in err and "Traceback" not in err

@@ -41,7 +41,7 @@ class TestAnnotate:
     def test_empty_program(self):
         pw = annotate(parse_program(""))
         assert pw.lookup(1) is None
-        assert pw.max_occurrence == 0
+        assert pw.rules == () and pw.table == {}
 
     def test_drop_indices_reproduces_source(self, pivot_program):
         assert annotate(pivot_program).source == pivot_program
@@ -122,7 +122,7 @@ class TestRuns:
 
     def test_pivot_swap(self, pivot_program, pivot_store):
         run = run_operational(annotate(pivot_program), pivot_store)
-        assert run.state.terminal and not run.limit_exceeded
+        assert run.state.terminal and run.truncated is None
         assert correspondence(run.state) == store_of(
             parse_store("data(a,3), data(a,2), data(b,7), data(b,8).")
         )
@@ -163,7 +163,12 @@ class TestRuns:
     def test_step_limit_flag(self):
         p = parse_program("loop @ p(X) ==> p(X).")
         run = run_operational(annotate(p), parse_store("p(1)."), max_steps=30)
-        assert run.limit_exceeded
+        assert run.truncated == "step budget 30" and len(run.trace) == 30
+
+    def test_store_cap_flag(self):
+        p = parse_program("loop @ p(X) ==> p(X).")
+        run = run_operational(annotate(p), parse_store("p(1)."), max_store=3)
+        assert run.truncated == "store cap 3" and len(run.state.store.entries) == 4
 
     def test_act_simpa_2_retains_active(self):
         p = parse_program("r @ p(X) \\ q(X) <=> s(X).")
@@ -285,4 +290,4 @@ class TestSaturation:
     def test_termination_on_monotone_propagation(self):
         p = parse_program("r @ p(X), p(Y) ==> q(X, Y). s @ q(X, Y) ==> m(X).")
         run = run_operational(annotate(p), parse_store("p(1), p(2), p(3)."), max_steps=4000)
-        assert run.state.terminal and not run.limit_exceeded
+        assert run.state.terminal and run.truncated is None

@@ -1,4 +1,5 @@
 from chrcp.fuzz import generate_random
+from chrcp.machine import annotate, run_operational
 from chrcp.match import (
     enumerate_matches,
     matches_exactly,
@@ -8,6 +9,7 @@ from chrcp.match import (
 )
 from chrcp.parse import parse_program, parse_store
 from chrcp.rules import Atom, Comprehension
+from chrcp.soundness import ABSTRACT, check_soundness, correspondence
 from chrcp.terms import GTrue, Int, Rel, Substitution, Sym, Var, mset
 
 from oracles import oracle_match_keys, production_match_keys
@@ -201,3 +203,23 @@ class TestOracleEquivalence:
                 ), f"seed {seed}, rule {rule.name}"
                 checked += 1
         assert checked >= 150
+
+
+class TestNestedConjunctiveComprehension:
+    """A guard comprehension whose body is itself a guard comprehension."""
+
+    PROGRAM = "r @ p(X) <=> {{X > 0}#{Y in [1]}}#{Z in [1]} | q(X)."
+
+    def final(self, store_text):
+        run = run_operational(annotate(parse_program(self.PROGRAM)), parse_store(store_text))
+        return correspondence(run.state)
+
+    def test_guard_holds(self):
+        assert self.final("p(1).") == (atom("q(1)"),)
+
+    def test_guard_fails(self):
+        assert self.final("p(0).") == (atom("p(0)"),)
+
+    def test_check_passes(self):
+        rep = check_soundness(parse_program(self.PROGRAM), parse_store("p(1)."))
+        assert rep.ok and rep.steps == 7 and rep.counts()[ABSTRACT] == 1

@@ -1,14 +1,10 @@
 import random
 
-import pytest
-
-from chrcp.errors import BudgetError
 from chrcp.fuzz import generate_random
 from chrcp.monotone import is_monotone
 from chrcp.parse import parse_program, parse_store
 from chrcp.rewrite import (
     abstract_steps,
-    reachable,
     run_abstract,
     store_of,
     unfold_body,
@@ -66,7 +62,7 @@ class TestRunAbstract:
     def test_single_application(self, relabel_program):
         run = run_abstract(relabel_program, store("a(1)."), max_steps=10)
         assert run.final == store("b(1).")
-        assert len(run.steps) == 1 and not run.limit_exceeded
+        assert len(run.steps) == 1 and run.truncated is None
 
     def test_empty_store_quiesces(self, relabel_program):
         run = run_abstract(relabel_program, (), max_steps=5)
@@ -75,31 +71,12 @@ class TestRunAbstract:
     def test_divergent_propagation_hits_limit(self):
         p = parse_program("loop @ p(X) ==> p(X).")
         run = run_abstract(p, store("p(1)."), max_steps=25)
-        assert run.limit_exceeded
+        assert run.truncated == "step budget 25" and len(run.steps) == 25
 
     def test_seed_determinism(self, pivot_program, pivot_store):
         a = run_abstract(pivot_program, store_of(pivot_store), 10, seed=5)
         b = run_abstract(pivot_program, store_of(pivot_store), 10, seed=5)
         assert a.final == b.final and a.steps == b.steps
-
-
-class TestReachable:
-    def test_depth_zero(self, relabel_program):
-        st = store("a(1), a(2).")
-        assert reachable(relabel_program, st, 0) == {st}
-
-    def test_depth_one(self, relabel_program):
-        st = store("a(1), a(2).")
-        assert reachable(relabel_program, st, 1) == {st, store("b(1), b(2).")}
-
-    def test_pivot_closure(self, pivot_program, pivot_store):
-        st = store_of(pivot_store)
-        final = store("data(a,3), data(b,7), data(a,2), data(b,8).")
-        assert reachable(pivot_program, st, 2) == {st, final}
-
-    def test_budget(self, relabel_program):
-        with pytest.raises(BudgetError):
-            reachable(relabel_program, store("a(1)."), 1, max_store=0)
 
 
 class TestMonotoneReplay:

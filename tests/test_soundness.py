@@ -15,7 +15,7 @@ from chrcp.machine import (
 )
 from chrcp.match import maximality_disabled
 from chrcp.parse import parse_program, parse_store
-from chrcp.rewrite import store_of
+from chrcp.rewrite import MAX_STEPS, store_of
 from chrcp.rules import Atom
 from chrcp.soundness import (
     ABSTRACT,
@@ -145,7 +145,7 @@ class TestCheckSoundness:
 
     def test_pivot_swap_ok(self, pivot_program):
         rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
-        assert rep.ok and not rep.limit_exceeded
+        assert rep.ok and rep.truncated is None
         assert rep.final_store == store_of(
             parse_store("data(a,2), data(a,3), data(b,7), data(b,8).")
         )
@@ -186,17 +186,17 @@ class TestCheckSoundness:
             run_operational(
                 annotate(program),
                 st,
-                max_steps=2_000,
+                max_steps=MAX_STEPS,
                 observer=lambda ev: digests.append(state_digest(ev.after)),
                 max_store=max_store,
             )
             assert rep.goal_digests == digests
-        assert rep.limit_exceeded and len(rep.goal_digests) == rep.steps
+        assert rep.truncated == "store cap 3" and len(rep.goal_digests) == rep.steps
 
     def test_truncated_run_still_classifies(self):
         p = parse_program("loop @ p(X) ==> p(X).")
         rep = check_soundness(p, parse_store("p(1)."), max_steps=40)
-        assert rep.limit_exceeded
+        assert rep.truncated == "step budget 40" and rep.steps == len(rep.classifications) == 40
         assert rep.ok  # every executed step is still silent or abstract
 
     def test_engines_agree_on_corpus(self, pivot_program, remove_min_program):
@@ -209,7 +209,7 @@ class TestCheckSoundness:
         ):
             rep = check_soundness(program, st)
             ab = run_abstract(program, store_of(st), max_steps=50)
-            assert rep.ok and not ab.limit_exceeded
+            assert rep.ok and ab.truncated is None
             assert rep.final_store == ab.final
 
 
