@@ -18,7 +18,7 @@ from .errors import (
     ScopeError,
     TermTypeError,
 )
-from .fuzz import DESK, SizeParams, generate_random
+from .fuzz import generate_random
 from .machine import (
     ExecutionState,
     OccurrenceProgram,

@@ -6,13 +6,17 @@
     chrcp check <prog.chrcp> [--store f] [--max-steps N] [--trace out.json]
     chrcp fuzz --seeds A..B [--max-steps N]
 
-`run` and `check` stop after --max-steps steps (default 10000); `fuzz`
-stops each random program after --max-steps steps (default 300) or once its
-store holds more than 64 constraints.
+The goal-stack machine (the default `--engine op`) takes the least maximal
+match at each firing, so `run` makes the run that `check` checks. `--seed`
+picks the steps of `--engine abs` only.
+
+`run` and `check` stop after --max-steps steps (an integer >= 0, default
+10000); `fuzz` stops each random program after --max-steps steps (default
+300) or once its store holds more than 64 constraints.
 
 Exit codes of `run` and `check`: 0 the run finished with no violation, 1 an
-error or a violation, 2 a limit stopped the run (stderr names it). `fuzz`
-exits 0 when every seed is OK and 1 otherwise.
+error (usage errors too) or a violation, 2 a limit stopped the run (stderr
+names it). `fuzz` exits 0 when every seed is OK and 1 otherwise.
 CHRCP_COLOR=0|1 overrides color auto-detection.
 """
 
@@ -25,7 +29,7 @@ import sys
 from collections import Counter
 
 from .errors import ChrcpError
-from .fuzz import DESK, STORE_CAP, generate_random
+from .fuzz import STORE_CAP, generate_random
 from .machine import annotate, run_operational
 from .monotone import predicate_report, residual_non_unifiable
 from .parse import load_program, load_store, pretty_pattern, pretty_store
@@ -77,7 +81,7 @@ def cmd_run(args) -> int:
         trace_out = [trace_record(i, "apply", rule=step.rule) for i, step in enumerate(run.steps)]
     else:
         pw = annotate(program)
-        run = run_operational(pw, store, max_steps=args.max_steps, seed=args.seed)
+        run = run_operational(pw, store, max_steps=args.max_steps)
         final = correspondence(run.state)
         trace_out = [trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace)]
     if args.trace:
@@ -165,9 +169,12 @@ def cmd_check(args) -> int:
 def _parse_seed_range(text: str) -> tuple[int, int]:
     a, dots, b = text.partition("..")
     try:
-        return int(a), int(b if dots else a)
+        lo, hi = int(a), int(b if dots else a)
     except ValueError:
         raise ChrcpError(f"bad seed range {text!r}: expected A..B or N") from None
+    if lo > hi:
+        raise ChrcpError(f"bad seed range {text!r}: A is greater than B")
+    return lo, hi
 
 
 def cmd_fuzz(args) -> int:
@@ -176,7 +183,7 @@ def cmd_fuzz(args) -> int:
     truncated: Counter[str] = Counter()
     total_steps = 0
     for seed in range(lo, hi + 1):
-        program, init = generate_random(seed, DESK)
+        program, init = generate_random(seed)
         report = check_soundness(program, init, max_steps=args.max_steps, max_store=STORE_CAP)
         total_steps += report.steps
         if report.truncated:
@@ -195,6 +202,13 @@ def cmd_fuzz(args) -> int:
     return 0 if not failures else 1
 
 
+def _step_count(text: str) -> int:
+    """argparse type of --max-steps: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chrcp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -203,8 +217,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("program")
     run.add_argument("--store")
     run.add_argument("--engine", choices=("op", "abs"), default="op")
-    run.add_argument("--max-steps", type=int, default=MAX_STEPS)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--max-steps", type=_step_count, default=MAX_STEPS)
+    run.add_argument("--seed", type=int, default=0, help="step choice of --engine abs")
     run.add_argument("--trace")
     run.set_defaults(func=cmd_run)
 
@@ -216,20 +230,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="differential soundness check")
     ck.add_argument("program")
     ck.add_argument("--store")
-    ck.add_argument("--max-steps", type=int, default=MAX_STEPS)
+    ck.add_argument("--max-steps", type=_step_count, default=MAX_STEPS)
     ck.add_argument("--trace")
     ck.set_defaults(func=cmd_check)
 
     fz = sub.add_parser("fuzz", help="soundness-check random programs")
     fz.add_argument("--seeds", required=True, help="inclusive range A..B")
-    fz.add_argument("--max-steps", type=int, default=300)
+    fz.add_argument("--max-steps", type=_step_count, default=300)
     fz.set_defaults(func=cmd_fuzz)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a limit was hit.
+        return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except ChrcpError as exc:

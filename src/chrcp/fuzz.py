@@ -8,25 +8,20 @@ head first, keeping every rule acceptable to the well-formedness checker.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import ChrcpError
 from .rules import Atom, Comprehension, Pattern, Program, Rule, check_program
 from .terms import Bind, GUARD_TRUE, Int, Reduce, Rel, Var, conj
 
 
-@dataclass(frozen=True)
-class SizeParams:
-    max_predicates: int = 4
-    max_arity: int = 2
-    max_rules: int = 3
-    max_heads: int = 3
-    max_store: int = 8
-    max_value: int = 3
-    max_body: int = 2
-
-
-DESK = SizeParams()
+# Size bounds of a generated program and store.
+MAX_PREDICATES = 4
+MAX_ARITY = 2
+MAX_RULES = 3
+MAX_HEADS = 3
+MAX_STORE = 8  # initial constraints
+MAX_VALUE = 3  # integer arguments lie in 0..MAX_VALUE
+MAX_BODY = 2
 
 # Store cap of the random-program sweeps (`chrcp fuzz`): some generated
 # programs double their store on every propagation firing.
@@ -35,29 +30,29 @@ STORE_CAP = 64
 _CMP_OPS = ("<", "<=", ">", ">=", "!=")
 
 
-def generate_random(seed: int, params: SizeParams = DESK) -> tuple[Program, tuple[Pattern, ...]]:
+def generate_random(seed: int) -> tuple[Program, tuple[Pattern, ...]]:
     """Deterministic (program, initial constraint multiset) for a seed."""
     rng = random.Random(seed)
-    n_preds = rng.randint(2, params.max_predicates)
-    preds = [(f"p{i}", rng.randint(1, params.max_arity)) for i in range(n_preds)]
+    n_preds = rng.randint(2, MAX_PREDICATES)
+    preds = [(f"p{i}", rng.randint(1, MAX_ARITY)) for i in range(n_preds)]
 
     rules = []
-    for k in range(rng.randint(1, params.max_rules)):
-        rules.append(_gen_rule(rng, f"r{k}", preds, params))
+    for k in range(rng.randint(1, MAX_RULES)):
+        rules.append(_gen_rule(rng, f"r{k}", preds))
 
-    store_size = rng.randint(0, params.max_store)
-    init = tuple(_gen_atom(rng, preds, params) for _ in range(store_size))
+    store_size = rng.randint(0, MAX_STORE)
+    init = tuple(_gen_atom(rng, preds) for _ in range(store_size))
     program = Program(tuple(rules))
     return program, init
 
 
-def _gen_atom(rng: random.Random, preds, params: SizeParams) -> Atom:
+def _gen_atom(rng: random.Random, preds) -> Atom:
     pred, arity = rng.choice(preds)
-    return Atom(pred, tuple(Int(rng.randint(0, params.max_value)) for _ in range(arity)))
+    return Atom(pred, tuple(Int(rng.randint(0, MAX_VALUE)) for _ in range(arity)))
 
 
-def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
-    n_heads = rng.randint(1, params.max_heads)
+def _gen_rule(rng: random.Random, name: str, preds) -> Rule:
+    n_heads = rng.randint(1, MAX_HEADS)
     kinds = [rng.random() < 0.35 for _ in range(n_heads)]  # True = comprehension
     is_prop = rng.random() < 0.3
 
@@ -81,7 +76,7 @@ def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
             elif roll < 0.8:
                 args.append(Var(rng.choice(anchored)))
             else:
-                args.append(Int(rng.randint(0, params.max_value)))
+                args.append(Int(rng.randint(0, MAX_VALUE)))
         plain_heads.append(Atom(pred, tuple(args)))
 
     comp_heads: list[Comprehension] = []
@@ -107,7 +102,7 @@ def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
             elif roll < 0.85:
                 args.append(Var(rng.choice(anchored)))
             else:
-                args.append(Int(rng.randint(0, params.max_value)))
+                args.append(Int(rng.randint(0, MAX_VALUE)))
         if not binders:  # a comprehension that collects nothing is useless
             b = fresh("B")
             binders.append(b)
@@ -117,7 +112,7 @@ def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
             guard = Rel(
                 rng.choice(_CMP_OPS),
                 Var(rng.choice(binders)),
-                Int(rng.randint(0, params.max_value)),
+                Int(rng.randint(0, MAX_VALUE)),
             )
         dom = fresh("Ds")
         domains.append((dom, len(binders)))
@@ -128,7 +123,7 @@ def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
     guard_parts = []
     if anchored and rng.random() < 0.4:
         guard_parts.append(
-            Rel(rng.choice(_CMP_OPS), Var(rng.choice(anchored)), Int(rng.randint(0, params.max_value)))
+            Rel(rng.choice(_CMP_OPS), Var(rng.choice(anchored)), Int(rng.randint(0, MAX_VALUE)))
         )
     bind_vars: list[str] = []
     single_domains = [d for d, k in domains if k == 1]
@@ -140,23 +135,23 @@ def _gen_rule(rng: random.Random, name: str, preds, params: SizeParams) -> Rule:
 
     body: list[Pattern] = []
     usable = anchored + bind_vars
-    for _ in range(rng.randint(0, params.max_body)):
+    for _ in range(rng.randint(0, MAX_BODY)):
         if domains and rng.random() < 0.3:
             dom, k = rng.choice(domains)
             binders = tuple(fresh("C") for _ in range(k))
             pred, arity = rng.choice(preds)
             args = tuple(
-                Var(rng.choice(binders)) if rng.random() < 0.7 else Int(rng.randint(0, params.max_value))
+                Var(rng.choice(binders)) if rng.random() < 0.7 else Int(rng.randint(0, MAX_VALUE))
                 for _ in range(arity)
             )
             bguard = GUARD_TRUE
             if rng.random() < 0.3:
-                bguard = Rel(rng.choice(_CMP_OPS), Var(rng.choice(binders)), Int(rng.randint(0, params.max_value)))
+                bguard = Rel(rng.choice(_CMP_OPS), Var(rng.choice(binders)), Int(rng.randint(0, MAX_VALUE)))
             body.append(Comprehension(Atom(pred, args), bguard, binders, Var(dom)))
         else:
             pred, arity = rng.choice(preds)
             args = tuple(
-                Var(rng.choice(usable)) if usable and rng.random() < 0.6 else Int(rng.randint(0, params.max_value))
+                Var(rng.choice(usable)) if usable and rng.random() < 0.6 else Int(rng.randint(0, MAX_VALUE))
                 for _ in range(arity)
             )
             body.append(Atom(pred, args))

@@ -10,7 +10,6 @@ saturation terminates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
@@ -192,16 +191,10 @@ def _instance_key(ar: AnnotatedRule, match: MatchResult) -> tuple:
     return (theta.key(), tuple(sorted(match.all_ids())))
 
 
-def _pick(matches: list[MatchResult], rng: random.Random | None) -> MatchResult:
-    if rng is not None and len(matches) > 1:
-        return matches[rng.randrange(len(matches))]
-    return matches[0]
-
-
-def step(
-    pw: OccurrenceProgram, state: ExecutionState, rng: random.Random | None = None
-) -> tuple[ExecutionState, str] | None:
-    """One transition of the leading goal; None when the stack is empty."""
+def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, str] | None:
+    """One transition of the leading goal; None when the stack is empty. A
+    firing takes the least match (`MatchResult.sort_key` order) that a
+    propagation goal's history does not already hold."""
     if not state.goals:
         return None
     goal, rest = state.goals[0], state.goals[1:]
@@ -249,18 +242,13 @@ def step(
         matches = enumerate_matches(ar.rule, store.items(), anchor=(pos, goal.label))
         n_prop = len(ar.rule.propagated)
         if matches:
-            m = _pick(matches, rng)
-            consumed = [i for b in m.blocks[n_prop:] for i in b]
+            m = matches[0]
+            store2 = store.remove(i for b in m.blocks[n_prop:] for i in b)
             init = InitGoal(m.theta.apply(ar.rule.body), (ar.rule, m))
             if pos >= n_prop:
                 # Active constraint sits in the simplified head: it goes too.
-                store2 = store.remove(consumed)
                 return ExecutionState((init,) + rest, store2), "act-simpa-1"
-            store2 = store.remove(consumed)
-            return (
-                ExecutionState((init, goal) + rest, store2),
-                "act-simpa-2",
-            )
+            return ExecutionState((init, goal) + rest, store2), "act-simpa-2"
         return (
             ExecutionState(
                 (ActGoal(goal.atom, goal.label, goal.occurrence + 1),) + rest, store
@@ -273,13 +261,9 @@ def step(
         if hit is None:
             raise ChrcpError("prop goal on a vanished occurrence")
         ar, pos = hit
-        matches = [
-            m
-            for m in enumerate_matches(ar.rule, store.items(), anchor=(pos, goal.label))
-            if _instance_key(ar, m) not in goal.history
-        ]
-        if matches:
-            m = _pick(matches, rng)
+        matches = enumerate_matches(ar.rule, store.items(), anchor=(pos, goal.label))
+        m = next((m for m in matches if _instance_key(ar, m) not in goal.history), None)
+        if m is not None:
             body = m.theta.apply(ar.rule.body)
             new_hist = goal.history | {_instance_key(ar, m)}
             goals = (
@@ -364,22 +348,21 @@ def run_operational(
     pw: OccurrenceProgram,
     init: Iterable[Pattern],
     max_steps: int = MAX_STEPS,
-    seed: int | None = None,
     observer: Callable[[StepEvent], None] | None = None,
     max_store: int | None = None,
 ) -> OpRun:
-    """Drive the machine from `init` to an empty goal stack.
+    """Drive the machine from `init` to an empty goal stack. The run is
+    deterministic: every firing takes the least match.
 
     Each transition is checked against the state before it (`validate_state`),
     and a problem raises `ChrcpError`. The run stops early after `max_steps`
     steps, or once the store holds more than `max_store` constraints (no cap
     when None); `truncated` then names the limit it hit.
     """
-    rng = random.Random(seed) if seed is not None else None
     state = initial_state(init)
     trace: list[tuple[str, str]] = []
     for index in range(max_steps):
-        out = step(pw, state, rng)
+        out = step(pw, state)
         if out is None:
             return OpRun(state, trace, None)
         nxt, kind = out

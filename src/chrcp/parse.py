@@ -55,13 +55,6 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    path: str
-    text: str
-    kind: str  # "program" | "store"
-
-
 KEYWORDS = {"in", "true", "false", "infty", "reduce"}
 
 # Deepest term or guard nesting accepted; every operator, unary minus, bracket
@@ -509,24 +502,23 @@ def parse_store(text: str, path: str = "<input>") -> tuple[Atom, ...]:
     return parser.parse_store()
 
 
-def load_source(path: str | Path, kind: str) -> SourceFile:
+def load_source(path: str | Path, kind: str) -> str:
+    """The UTF-8 text of a file; `kind` ("program" or "store") names it in errors."""
     p = Path(path)
     try:
-        return SourceFile(str(p), p.read_text(encoding="utf-8"), kind)
+        return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ChrcpError(f"{p}: cannot read {kind}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ChrcpError(f"{p}: {kind} is not UTF-8 text (byte {exc.start})") from None
 
 
-def load_program(path: str | Path, check: bool = True) -> Program:
-    src = load_source(path, "program")
-    return parse_program(src.text, src.path, check=check)
+def load_program(path: str | Path) -> Program:
+    return parse_program(load_source(path, "program"), str(Path(path)))
 
 
 def load_store(path: str | Path) -> tuple[Atom, ...]:
-    src = load_source(path, "store")
-    return parse_store(src.text, src.path)
+    return parse_store(load_source(path, "store"), str(Path(path)))
 
 
 # ---------------------------------------------------------------------------

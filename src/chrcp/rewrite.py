@@ -10,6 +10,7 @@ fragment and adds the unfolded body. The relation is nondeterministic;
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -69,16 +70,21 @@ class AbstractStep:
     produced: Store  # unfolded body (added)
 
 
-def rule_application(rule: Rule, match: MatchResult, store_items) -> tuple[AbstractStep, Store]:
-    atoms_by_id = dict(store_items)
+def rule_application(
+    rule: Rule, match: MatchResult, atoms_by_label: dict[int, Atom], store: Counter
+) -> tuple[AbstractStep, Store]:
+    """The step that fires `rule` at `match` on the multiset `store`, and its
+    successor store - consumed + produced. `atoms_by_label` maps the labels
+    in the match's blocks to their constraints in `store`. Copying a Counter
+    hashes no atom, so callers count a store once for all its matches."""
     n_prop = len(rule.propagated)
-    consumed_ids = {i for b in match.blocks[n_prop:] for i in b}
-    consumed = canonical_store(atoms_by_id[i] for i in consumed_ids)
-    body = match.theta.apply(rule.body)
-    produced = canonical_store(unfold_body(body))
-    remaining = [a for i, a in store_items if i not in consumed_ids]
-    successor = canonical_store(remaining + list(produced))
-    return AbstractStep(rule.name, match.theta, consumed, produced), successor
+    consumed = canonical_store(atoms_by_label[i] for b in match.blocks[n_prop:] for i in b)
+    produced = canonical_store(unfold_body(match.theta.apply(rule.body)))
+    successor = store.copy()
+    successor.subtract(consumed)
+    successor.update(produced)
+    step = AbstractStep(rule.name, match.theta, consumed, produced)
+    return step, canonical_store(successor.elements())
 
 
 def abstract_steps(program: Program, store: Store) -> Iterator[tuple[AbstractStep, Store]]:
@@ -89,10 +95,11 @@ def abstract_steps(program: Program, store: Store) -> Iterator[tuple[AbstractSte
     """
     program = normalize_program(program)
     items = list(enumerate(store))
+    atoms_by_label, multiset = dict(items), Counter(store)
     seen: set = set()
     for rule in program.rules:
         for match in enumerate_matches(rule, items, check_maximality=True):
-            step, successor = rule_application(rule, match, items)
+            step, successor = rule_application(rule, match, atoms_by_label, multiset)
             key = (step.rule, step.theta.key(), step.consumed, step.produced)
             if key in seen:
                 continue

@@ -26,7 +26,7 @@ from .machine import (
 )
 from .match import MatchResult, matches_exactly, residual_non_match
 from .parse import pretty_store
-from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, unfold_body
+from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, rule_application, unfold_body
 from .rules import Atom, Pattern, Program, Rule, canonical_store
 from .terms import eval_guard_env, guard_bind_vars
 
@@ -86,19 +86,13 @@ def _confirm_certificate(
     ok, env = eval_guard_env(rule.guard, env)
     if not ok or any(env.get(v) != theta.get(v) for v in binds):
         return None
-    rest = Counter(ca)
+    erased = Counter(ca)
+    rest = erased.copy()
     rest.subtract(atoms[i] for i in ids)
     if not residual_non_match(heads, rest.elements()):
         return None
-    n_prop = len(rule.propagated)
-    consumed = canonical_store(atoms[i] for b in m.blocks[n_prop:] for i in b)
-    produced = canonical_store(unfold_body(theta.apply(rule.body)))
-    succ = Counter(ca)
-    succ.subtract(consumed)
-    succ.update(produced)
-    if canonical_store(succ.elements()) != cb:
-        return None
-    return AbstractStep(rule.name, theta, consumed, produced)
+    astep, successor = rule_application(rule, m, atoms, erased)
+    return astep if successor == cb else None
 
 
 def classify_step(

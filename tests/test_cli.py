@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chrcp
-from chrcp.bundled import corpus_path
+from chrcp.bundled import PROGRAMS, STORES, corpus_path
 from chrcp.cli import main
+from chrcp.parse import load_program, load_store, pretty_store
+from chrcp.soundness import check_soundness
 
 
 def run_cli(capsys, *args):
@@ -189,3 +193,73 @@ class TestFuzz:
         code, _, err = run_cli(capsys, "fuzz", "--seeds", "5..x")
         assert code == 1
         assert "5..x" in err and "Traceback" not in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["run", "X", "--bogus"], ["run", "X", "--max-steps", "abc"], []],
+        ids=["missing-program", "unknown-flag", "bad-int", "no-command"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "usage:" in err
+
+    def test_help_exit_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "usage:" in out
+
+    def test_negative_run_budget_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "run", prog("relabel"), "--max-steps", "-3")
+        assert code == 1
+        assert out == "" and "--max-steps" in err and "truncated" not in err
+
+    def test_negative_fuzz_budget_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--seeds", "0..2", "--max-steps", "-1")
+        assert code == 1
+        assert out == "" and "--max-steps" in err
+
+    def test_zero_budget_is_legal(self, capsys):
+        code, _, err = run_cli(capsys, "run", prog("relabel"), "--store", store("relabel2"), "--max-steps", "0")
+        assert code == 2
+        assert "step budget 0" in err
+
+    def test_reversed_seed_range_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--seeds", "5..3")
+        assert code == 1
+        assert out == "" and "5..3" in err and "Traceback" not in err
+
+
+SPLIT = "split @ go, {a(X)}#{X in Xs}, {a(Y)}#{Y in Ys} <=> l(Xs), r(Ys).\n"
+SPLIT_STORE = "go, " + ", ".join(f"a({v})" for v in (160, 205, 830, 878, 17, 402, 561, 93, 744, 318)) + ".\n"
+
+
+class TestRunIsCheckedRun:
+    """`chrcp run` (default seed) makes the run that `chrcp check` checks."""
+
+    def assert_same_run(self, capsys, tmp_path, program_file, store_file):
+        run_trace, check_trace = tmp_path / "run.json", tmp_path / "check.json"
+        code, out, _ = run_cli(capsys, "run", program_file, "--store", store_file, "--trace", str(run_trace))
+        assert code == 0
+        report = check_soundness(load_program(program_file), load_store(store_file))
+        assert out.strip() == pretty_store(report.final_store)
+        code, _, _ = run_cli(capsys, "check", program_file, "--store", store_file, "--trace", str(check_trace))
+        assert code == 0
+
+        def steps(path):
+            return [(r["kind"], r["goalDigest"]) for r in json.loads(path.read_text())]
+
+        assert steps(run_trace) == steps(check_trace)
+
+    def test_contested_split(self, capsys, tmp_path):
+        f, s = tmp_path / "split.chrcp", tmp_path / "split.store"
+        f.write_text(SPLIT)
+        s.write_text(SPLIT_STORE)
+        self.assert_same_run(capsys, tmp_path, str(f), str(s))
+
+    @pytest.mark.parametrize("program", PROGRAMS)
+    @pytest.mark.parametrize("store_name", STORES)
+    def test_corpus(self, capsys, tmp_path, program, store_name):
+        self.assert_same_run(capsys, tmp_path, prog(program), store(store_name))

@@ -1,4 +1,4 @@
-from chrcp.fuzz import DESK, generate_random
+from chrcp.fuzz import MAX_HEADS, MAX_RULES, MAX_STORE, generate_random
 from chrcp.rules import Comprehension, check_program
 
 
@@ -6,10 +6,10 @@ def test_every_seed_well_formed():
     for seed in range(200):
         program, init = generate_random(seed)
         assert check_program(program) == [], f"seed {seed}"
-        assert len(init) <= DESK.max_store
-        assert len(program.rules) <= DESK.max_rules
+        assert len(init) <= MAX_STORE
+        assert len(program.rules) <= MAX_RULES
         for rule in program.rules:
-            assert len(rule.heads) <= DESK.max_heads
+            assert len(rule.heads) <= MAX_HEADS
 
 
 def test_deterministic_per_seed():
