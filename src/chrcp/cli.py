@@ -65,6 +65,14 @@ def _note_truncated(limit: str) -> None:
     print(_bad(f"truncated: {limit} reached before the run finished"), file=sys.stderr)
 
 
+def _write_trace(path: str, records: list[dict]) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=2)
+    except OSError as exc:
+        raise ChrcpError(f"{path}: cannot write trace: {exc.strerror}") from None
+
+
 def cmd_run(args) -> int:
     program = load_program(args.program)
     store = load_store(args.store) if args.store else ()
@@ -85,8 +93,7 @@ def cmd_run(args) -> int:
         final = correspondence(run.state)
         trace_out = [trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace)]
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace_out, fh, indent=2)
+        _write_trace(args.trace, trace_out)
     print(pretty_store(final))
     if run.truncated:
         _note_truncated(run.truncated)
@@ -152,8 +159,7 @@ def cmd_check(args) -> int:
         print(f"  before: {pretty_store(cls.before or ())}")
         print(f"  after:  {pretty_store(cls.after or ())}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace_records(report), fh, indent=2)
+        _write_trace(args.trace, trace_records(report))
     if report.truncated:
         _note_truncated(report.truncated)
     if not report.ok:

@@ -5,7 +5,10 @@ order, trying to fire the owning rule anchored at that head. Constraints the
 monotonicity analysis clears are stored lazily (on activation); anything
 that could be absorbed by a comprehension head is stored eagerly at init
 time. Propagation rules track per-goal histories of applied instances so
-saturation terminates.
+saturation terminates. The store (`match.LabeledStore`) keeps its index up
+to date per step: a label -> atom map, per-predicate buckets in label order
+for the head-match search, and digest tokens for `state_digest`. A head of
+another predicate or arity than the active constraint's costs no search.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
 from .errors import ChrcpError
-from .match import MatchResult, enumerate_matches
+from .match import LabeledStore, MatchResult, enumerate_matches
 from .monotone import is_monotone
 from .rewrite import MAX_STEPS, unfold_body
 from .rules import (
@@ -78,41 +81,7 @@ def annotate(program: Program) -> OccurrenceProgram:
 
 
 # ---------------------------------------------------------------------------
-# Labeled store and goals
-
-
-@dataclass(frozen=True)
-class LabeledStore:
-    entries: tuple[tuple[int, Atom], ...] = ()
-    next_label: int = 1  # labels are never reused, even after deletion
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.entries)
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for _, a in self.entries)
-
-    def items(self) -> tuple[tuple[int, Atom], ...]:
-        return self.entries
-
-    def __contains__(self, label: int) -> bool:
-        return any(n == label for n, _ in self.entries)
-
-    def add(self, atom: Atom) -> tuple["LabeledStore", int]:
-        n = self.next_label
-        return LabeledStore(self.entries + ((n, atom),), n + 1), n
-
-    def add_many(self, atoms: Iterable[Atom]) -> tuple["LabeledStore", list[int]]:
-        atoms = tuple(atoms)
-        labels = list(range(self.next_label, self.next_label + len(atoms)))
-        entries = self.entries + tuple(zip(labels, atoms))
-        return LabeledStore(entries, self.next_label + len(atoms)), labels
-
-    def remove(self, labels: Iterable[int]) -> "LabeledStore":
-        gone = set(labels)
-        return LabeledStore(
-            tuple(e for e in self.entries if e[0] not in gone), self.next_label
-        )
+# Goals
 
 
 @dataclass(frozen=True)
@@ -191,6 +160,16 @@ def _instance_key(ar: AnnotatedRule, match: MatchResult) -> tuple:
     return (theta.key(), tuple(sorted(match.all_ids())))
 
 
+def _anchored_matches(ar: AnnotatedRule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore) -> list[MatchResult]:
+    """Matches of `ar` with the active constraint in head `pos`. A head of
+    another predicate or arity cannot take it, so that costs no search."""
+    head = ar.rule.heads[pos]
+    head = head if isinstance(head, Atom) else head.atom
+    if head.pred != goal.atom.pred or head.arity != goal.atom.arity:
+        return []
+    return enumerate_matches(ar.rule, store, anchor=(pos, goal.label))
+
+
 def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, str] | None:
     """One transition of the leading goal; None when the stack is empty. A
     firing takes the least match (`MatchResult.sort_key` order) that a
@@ -239,7 +218,7 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
                 ),
                 "act-prop",
             )
-        matches = enumerate_matches(ar.rule, store.items(), anchor=(pos, goal.label))
+        matches = _anchored_matches(ar, pos, goal, store)
         n_prop = len(ar.rule.propagated)
         if matches:
             m = matches[0]
@@ -261,7 +240,7 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         if hit is None:
             raise ChrcpError("prop goal on a vanished occurrence")
         ar, pos = hit
-        matches = enumerate_matches(ar.rule, store.items(), anchor=(pos, goal.label))
+        matches = _anchored_matches(ar, pos, goal, store)
         m = next((m for m in matches if _instance_key(ar, m) not in goal.history), None)
         if m is not None:
             body = m.theta.apply(ar.rule.body)
@@ -338,7 +317,7 @@ def goal_digest(g: Goal) -> str:
 
 
 def state_digest(s: ExecutionState) -> str:
-    store = ",".join(f"{a.pred}#{n}" for n, a in s.store.items())
+    store = ",".join(s.store.tokens)
     goals = ";".join(goal_digest(g) for g in s.goals[:4])
     more = "..." if len(s.goals) > 4 else ""
     return f"<[{goals}{more}] | {{{store}}}>"
@@ -373,6 +352,6 @@ def run_operational(
             observer(StepEvent(index, kind, state, nxt))
         trace.append((kind, state_digest(nxt)))
         state = nxt
-        if max_store is not None and len(state.store.entries) > max_store:
+        if max_store is not None and len(state.store) > max_store:
             return OpRun(state, trace, f"store cap {max_store}")
     return OpRun(state, trace, None if state.terminal else f"step budget {max_steps}")

@@ -18,10 +18,12 @@ validates every candidate against the declarative judgments above.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Mapping
 
 from .errors import ChrcpError, NonGroundError, RebindError, TermTypeError
 from .rules import Atom, Comprehension, Pattern, Rule, normalize_rule
@@ -52,6 +54,81 @@ from .terms import (
 )
 
 StoreItem = tuple[int, Atom]
+
+
+@dataclass(frozen=True)
+class LabeledStore:
+    """Labeled constraints, indexed for head matching and state digests.
+
+    `entries` are (label, atom) pairs in label order. Beside them the store
+    keeps `by_label` (label -> atom), `by_pred` (predicate -> its entries in
+    label order) and `tokens` (each entry's digest token `pred#label`).
+    `add`, `add_many` and `remove` derive the new index from the old one; a
+    store built from `entries` alone indexes them once."""
+
+    entries: tuple[StoreItem, ...] = ()
+    next_label: int = 1  # labels are never reused, even after deletion
+    by_label: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    by_pred: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    tokens: tuple = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.by_label is None:
+            index = _index(self.entries, {}, {}, ())
+            for name, value in zip(("by_label", "by_pred", "tokens"), index):
+                object.__setattr__(self, name, value)
+
+    def items(self) -> tuple[StoreItem, ...]:
+        return self.entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __contains__(self, label: int) -> bool:
+        return label in self.by_label
+
+    def add(self, atom: Atom) -> tuple["LabeledStore", int]:
+        store, (n,) = self.add_many((atom,))
+        return store, n
+
+    def add_many(self, atoms: Iterable[Atom]) -> tuple["LabeledStore", list[int]]:
+        new = tuple(enumerate(atoms, self.next_label))
+        stop = self.next_label + len(new)
+        index = _index(new, self.by_label, self.by_pred, self.tokens)
+        return LabeledStore(self.entries + new, stop, *index), list(range(self.next_label, stop))
+
+    def remove(self, labels: Iterable[int]) -> "LabeledStore":
+        gone = sorted({n for n in labels if n in self.by_label})
+        if not gone:
+            return self
+        by_label, by_pred = dict(self.by_label), dict(self.by_pred)
+        by_group: dict[str, list[int]] = {}
+        for n in gone:
+            by_group.setdefault(by_label.pop(n).pred, []).append(n)
+        for pred, ns in by_group.items():
+            bucket = by_pred.pop(pred)
+            if len(ns) < len(bucket):
+                by_pred[pred] = _cut(bucket, [bisect_left(bucket, (n,)) for n in ns])
+        at = [bisect_left(self.entries, (n,)) for n in gone]  # (n,) sorts just before (n, atom)
+        return LabeledStore(_cut(self.entries, at), self.next_label, by_label, by_pred, _cut(self.tokens, at))
+
+
+def _index(new: tuple[StoreItem, ...], by_label: dict, by_pred: dict, tokens: tuple) -> tuple[dict, dict, tuple]:
+    """(by_label, by_pred, tokens) of a store indexed by the given three
+    once the label-ordered entries `new` are appended to it."""
+    by_label = {**by_label, **dict(new)}
+    grouped: dict[str, list[StoreItem]] = {}
+    for e in new:
+        grouped.setdefault(e[1].pred, []).append(e)
+    by_pred = dict(by_pred)
+    for pred, es in grouped.items():
+        by_pred[pred] = by_pred.get(pred, ()) + tuple(es)
+    return by_label, by_pred, tokens + tuple(f"{a.pred}#{n}" for n, a in new)
+
+
+def _cut(seq: tuple, positions: list[int]) -> tuple:
+    """`seq` without the items at the ascending `positions`."""
+    return tuple(chain.from_iterable(seq[a + 1 : b] for a, b in zip([-1, *positions], [*positions, len(seq)])))
 
 
 # One knob, used by the differential harness's negative control. Only
@@ -367,16 +444,17 @@ class MatchResult:
 
 def enumerate_matches(
     rule: Rule,
-    items: Sequence[StoreItem],
+    store: LabeledStore,
     anchor: tuple[int, int] | None = None,
     *,
     check_maximality: bool | None = None,
 ) -> list[MatchResult]:
-    """All maximal matches of a rule against an indexed store.
+    """All maximal matches of a rule against a labeled store.
 
-    `anchor`, when given, is (head pattern index, store item id): the item
+    `anchor`, when given, is (head pattern index, store label): the item
     must land in that pattern's block. Results come back deterministically
-    ordered (block ids per head, then substitution).
+    ordered (block ids per head, then substitution). Atom heads take their
+    candidates, and comprehensions absorb, from their predicates' buckets.
     `check_maximality=None` defers to the ambient flag (see
     `maximality_disabled`); pass True to force the real semantics.
     """
@@ -384,20 +462,16 @@ def enumerate_matches(
     rule = normalize_rule(rule)
     heads = rule.heads
     solvable = rule.rule_vars()
-    ids = {i for i, _ in items}
-    if anchor is not None and anchor[1] not in ids:
+    if anchor is not None and anchor[1] not in store:
         return []
 
     atom_idx = [i for i, p in enumerate(heads) if isinstance(p, Atom)]
     comp_idx = [i for i, p in enumerate(heads) if isinstance(p, Comprehension)]
-
-    by_pred: dict[str, list[StoreItem]] = {}
-    for it in sorted(items, key=lambda it: it[0]):
-        by_pred.setdefault(it[1].pred, []).append(it)
+    by_pred, atoms_by_id = store.by_pred, store.by_label
+    comp_buckets = [by_pred.get(pred, ()) for pred in {heads[i].atom.pred for i in comp_idx}]
 
     results: list[MatchResult] = []
     seen: set = set()
-    atoms_by_id = dict(items)
 
     def finish(
         env: dict[str, Term],
@@ -508,19 +582,17 @@ def enumerate_matches(
 
     def match_atoms(pending: list[int], used: set[int], env: dict[str, Term], assign: dict[int, int | None]) -> None:
         if not pending:
-            remaining = [
-                (i, a)
-                for i, a in sorted(items, key=lambda it: it[0])
-                if i not in used
-            ]
+            remaining = [it for bucket in comp_buckets for it in bucket if it[0] not in used]
+            if len(comp_buckets) > 1:
+                remaining.sort()  # merge the buckets in label order (labels are distinct)
             assign_comps(remaining, env, assign, {}, frozenset())
             return
         hi = pending[0]
         pat: Atom = heads[hi]  # type: ignore[assignment]
         if anchor is not None and anchor[0] == hi:
-            cands = [(i, a) for i, a in items if i == anchor[1]]
+            cands = ((anchor[1], atoms_by_id[anchor[1]]),)
         else:
-            cands = by_pred.get(pat.pred, [])
+            cands = by_pred.get(pat.pred, ())
         for item_id, atom in cands:
             if item_id in used:
                 continue

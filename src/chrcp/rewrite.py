@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NonGroundError
-from .match import MatchResult, comp_element_instance, enumerate_matches
+from .match import LabeledStore, MatchResult, comp_element_instance, enumerate_matches
 from .rules import (
     Atom,
     Pattern,
@@ -94,12 +94,12 @@ def abstract_steps(program: Program, store: Store) -> Iterator[tuple[AbstractSte
     constraints collapse to one entry.
     """
     program = normalize_program(program)
-    items = list(enumerate(store))
-    atoms_by_label, multiset = dict(items), Counter(store)
+    labeled = LabeledStore(tuple(enumerate(store)), len(store))
+    multiset = Counter(store)
     seen: set = set()
     for rule in program.rules:
-        for match in enumerate_matches(rule, items, check_maximality=True):
-            step, successor = rule_application(rule, match, atoms_by_label, multiset)
+        for match in enumerate_matches(rule, labeled, check_maximality=True):
+            step, successor = rule_application(rule, match, labeled.by_label, multiset)
             key = (step.rule, step.theta.key(), step.consumed, step.produced)
             if key in seen:
                 continue

@@ -34,7 +34,7 @@ from .terms import eval_guard_env, guard_bind_vars
 def correspondence(state: ExecutionState) -> Store:
     """Store denoted by a machine state: stored constraints (labels dropped)
     plus init-goal bodies (unfolded) plus lazy-goal atoms."""
-    atoms = list(state.store.atoms())
+    atoms = list(state.store.by_label.values())
     for g in state.goals:
         if isinstance(g, InitGoal):
             atoms.extend(unfold_body(g.body))
@@ -117,7 +117,7 @@ def classify_step(
     top = after.goals[0] if after.goals else None
     if isinstance(top, InitGoal) and top.cause is not None:
         try:
-            astep = _confirm_certificate(*top.cause, dict(before.store.items()), ca, cb)
+            astep = _confirm_certificate(*top.cause, before.store.by_label, ca, cb)
         except (TermTypeError, NonGroundError, RebindError):
             astep = None
         if astep is not None:

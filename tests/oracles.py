@@ -10,10 +10,11 @@ which covers the generated and bundled test inputs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 from chrcp.errors import NonGroundError, RebindError, TermTypeError
-from chrcp.machine import InitGoal, LazyGoal
+from chrcp.machine import InitGoal, LabeledStore, LazyGoal
 from chrcp.rules import Atom, Comprehension, Program, Rule, canonical_store
 from chrcp.terms import (
     MSet,
@@ -29,6 +30,53 @@ from chrcp.terms import (
 
 class OracleFail(Exception):
     pass
+
+
+def labeled(items) -> LabeledStore:
+    """The store holding `items`, (label, atom) pairs in label order."""
+    items = tuple(items)
+    return LabeledStore(items, items[-1][0] + 1 if items else 1)
+
+
+@dataclass(frozen=True)
+class ModelStore:
+    """Reference for `LabeledStore`: a plain tuple of (label, atom) entries
+    in label order, with no index; every query scans it."""
+
+    entries: tuple = ()
+    next_label: int = 1
+
+    def add(self, atom):
+        n = self.next_label
+        return ModelStore(self.entries + ((n, atom),), n + 1), n
+
+    def add_many(self, atoms):
+        atoms = tuple(atoms)
+        labels = list(range(self.next_label, self.next_label + len(atoms)))
+        entries = self.entries + tuple(zip(labels, atoms))
+        return ModelStore(entries, self.next_label + len(atoms)), labels
+
+    def remove(self, labels):
+        gone = set(labels)
+        return ModelStore(tuple(e for e in self.entries if e[0] not in gone), self.next_label)
+
+    def __contains__(self, label) -> bool:
+        return any(n == label for n, _ in self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def tokens(self) -> tuple:
+        """Digest tokens, rendered on every query."""
+        return tuple(f"{a.pred}#{n}" for n, a in self.entries)
+
+    def buckets(self) -> dict:
+        """Predicate -> labels of its entries, in label order."""
+        out: dict = {}
+        for n, a in self.entries:
+            out.setdefault(a.pred, []).append(n)
+        return {pred: tuple(ns) for pred, ns in out.items()}
 
 
 def _match_term(pattern, value, binders, local, theta):
@@ -246,7 +294,7 @@ def production_match_keys(rule: Rule, items) -> set:
 
     keep = rule.rule_vars()
     out = set()
-    for m in enumerate_matches(rule, items):
+    for m in enumerate_matches(rule, labeled(items)):
         key = tuple(
             sorted((k, term_key(v)) for k, v in m.theta.items() if k in keep)
         )
@@ -315,7 +363,7 @@ def whole_state_problems(pw, state) -> list[str]:
             problems.append(f"lazy goal holds non-monotone constraint {g.atom}")
         if isinstance(g, InitGoal) and idx != 0:
             problems.append("init goal below the top of the stack")
-    labels = state.store.labels()
+    labels = [n for n, _ in state.store.entries]
     if len(set(labels)) != len(labels):
         problems.append("duplicate store labels")
     return problems

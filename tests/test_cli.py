@@ -105,6 +105,14 @@ class TestRun:
         assert code == 1
         assert str(missing) in err and "Traceback" not in err
 
+    def test_unwritable_trace_exit_one(self, capsys, tmp_path):
+        trace = tmp_path / "no-such-dir" / "t.json"
+        code, _, err = run_cli(
+            capsys, "run", prog("relabel"), "--store", store("relabel2"), "--trace", str(trace)
+        )
+        assert code == 1
+        assert str(trace) in err and "Traceback" not in err
+
     def test_non_utf8_file_exit_one(self, capsys, tmp_path):
         f = tmp_path / "latin1.chrcp"
         f.write_bytes(b"r @ p(X) <=> q(X).\n% \xe9t\xe9\n")
@@ -160,6 +168,14 @@ class TestCheck:
         assert "steps=40 " in out and "violations=0" in out
         assert "OK" not in out.split()
         assert "step budget 40" in err
+
+    def test_unwritable_trace_exit_one(self, capsys, tmp_path):
+        trace = tmp_path / "no-such-dir" / "t.json"
+        code, _, err = run_cli(
+            capsys, "check", prog("relabel"), "--store", store("relabel2"), "--trace", str(trace)
+        )
+        assert code == 1
+        assert str(trace) in err and "Traceback" not in err
 
     def test_large_store_checks_every_step(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CHRCP_COLOR", "0")

@@ -1,6 +1,11 @@
+import hashlib
+
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from chrcp import corpus_program, corpus_store, machine
+from chrcp.bundled import PROGRAMS, STORES
 from chrcp.errors import ChrcpError
 from chrcp.fuzz import generate_random
 from chrcp.machine import (
@@ -14,16 +19,17 @@ from chrcp.machine import (
     annotate,
     initial_state,
     run_operational,
+    state_digest,
     step,
     validate_state,
 )
-from chrcp.parse import parse_program, parse_store
+from chrcp.parse import parse_program, parse_store, pretty_pattern
 from chrcp.rewrite import store_of
 from chrcp.rules import Atom
 from chrcp.soundness import correspondence
 from chrcp.terms import Int
 
-from oracles import oracle_prop_instances, whole_state_problems
+from oracles import ModelStore, oracle_prop_instances, whole_state_problems
 
 
 class TestAnnotate:
@@ -62,6 +68,58 @@ class TestLabeledStore:
         s = s.remove([n1])
         s, n2 = s.add(Atom("p", (Int(1),)))
         assert n2 == 2 and n1 not in s
+
+
+class StoreAgainstModel(RuleBasedStateMachine):
+    """Drives `LabeledStore` and the unindexed `ModelStore` through the same
+    updates; after each one they must hold the same entries, answer `in` and
+    `len` alike, bucket each predicate's labels in label order, and digest
+    alike. The updated index must equal one built from the entries afresh."""
+
+    atoms = st.builds(
+        Atom, st.sampled_from("pqr"), st.lists(st.integers(0, 3).map(Int), max_size=2).map(tuple)
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.store, self.model = LabeledStore(), ModelStore()
+
+    @rule(atom=atoms)
+    def add(self, atom):
+        (self.store, n), (self.model, m) = self.store.add(atom), self.model.add(atom)
+        assert n == m
+
+    @rule(atoms=st.lists(atoms, max_size=5))
+    def add_many(self, atoms):
+        (self.store, ns), (self.model, ms) = self.store.add_many(atoms), self.model.add_many(atoms)
+        assert ns == ms
+
+    @rule(labels=st.lists(st.integers(0, 40), max_size=4))
+    def remove_any(self, labels):
+        self.store, self.model = self.store.remove(labels), self.model.remove(labels)
+
+    @precondition(lambda self: len(self.model) > 0)
+    @rule(data=st.data())
+    def remove_held(self, data):
+        held = [n for n, _ in self.model.entries]
+        labels = data.draw(st.lists(st.sampled_from(held), min_size=1, max_size=len(held)))
+        self.store, self.model = self.store.remove(labels), self.model.remove(labels)
+
+    @invariant()
+    def agree(self):
+        store, model = self.store, self.model
+        assert store.entries == model.entries and store.next_label == model.next_label
+        assert len(store) == len(model)
+        assert all((n in store) == (n in model) for n in range(model.next_label + 2))
+        assert {p: tuple(n for n, _ in b) for p, b in store.by_pred.items()} == model.buckets()
+        goals = (ActGoal(Atom("p"), 1, 1),)
+        assert state_digest(ExecutionState(goals, store)) == state_digest(ExecutionState(goals, model))
+        fresh = LabeledStore(store.entries, store.next_label)
+        assert (fresh.by_label, fresh.by_pred, fresh.tokens) == (store.by_label, store.by_pred, store.tokens)
+
+
+TestStoreAgainstModel = StoreAgainstModel.TestCase
+TestStoreAgainstModel.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
 
 
 class TestStepDispatch:
@@ -106,7 +164,7 @@ class TestStepDispatch:
         from chrcp.machine import _instance_key
         from chrcp.match import enumerate_matches
 
-        (m,) = enumerate_matches(ar.rule, store.items(), anchor=(0, n))
+        (m,) = enumerate_matches(ar.rule, store, anchor=(0, n))
         hist = frozenset({_instance_key(ar, m)})
         s = ExecutionState((PropGoal(Atom("p", (Int(1),)), n, 1, hist),), store)
         state, kind = step(pw, s)
@@ -152,7 +210,7 @@ class TestRuns:
         states = []
         run_operational(pw, remove_min_store, observer=lambda ev: states.append(ev.after))
         for s in states:
-            labels = s.store.labels()
+            labels = [n for n, _ in s.store.entries]
             assert len(set(labels)) == len(labels)
 
     def test_invalid_state_raises_chrcp_error(self, relabel_program, monkeypatch):
@@ -291,3 +349,94 @@ class TestSaturation:
         p = parse_program("r @ p(X), p(Y) ==> q(X, Y). s @ q(X, Y) ==> m(X).")
         run = run_operational(annotate(p), parse_store("p(1), p(2), p(3)."), max_steps=4000)
         assert run.state.terminal and run.truncated is None
+
+
+def trace_sha256(run) -> str:
+    """SHA-256 of a run's (kind, digest) trace and its final labeled store."""
+    h = hashlib.sha256()
+    for kind, digest in run.trace:
+        h.update(f"{kind} {digest}\n".encode())
+    for n, a in run.state.store.items():
+        h.update(f"{n} {pretty_pattern(a)}\n".encode())
+    return h.hexdigest()
+
+
+# (steps, trace_sha256) of every bundled program on every bundled store at
+# 3000 steps, recorded before the store was indexed: machine changes that
+# only make it faster must keep every one.
+RECORDED = {
+    ("pivot_swap", "pivot_swap"): (26, "9cc07a6e031c02ff160ecf4266ef0a38aafdde26470ea9e3dccbe3e94667bb50"),
+    ("pivot_swap", "remove_non_min"): (26, "4685dd542aa4f30b740dd976e2ad3b2f6a383d816a1b6bf6307bb48c7bc04d05"),
+    ("pivot_swap", "relabel2"): (11, "cb3929e6655d5e70d76a88bb884ee022aa25dc9f444036ba6566e2159b439627"),
+    ("pivot_swap", "relabel3"): (16, "938df7a176bb0fce111dd79234e910f2ecb5ecb41de6b1d0a3167cf9dc75ea51"),
+    ("pivot_swap", "pair2"): (11, "5320f0880f1a083d31ebdac3aea6c4af65f86478356ef97dfc53dc77c8e3e019"),
+    ("pivot_swap", "pair3"): (16, "573d8c30b5f38fdbe81ca1fb76f5fcb8cbdffea3adb2ac5f0c3d1601420268db"),
+    ("pivot_swap_pure", "pivot_swap"): (138, "73d54c75e9cb14e64acba68daccf7550bbb6991f6af55ad4cf7a7dd5c33109c6"),
+    ("pivot_swap_pure", "remove_non_min"): (56, "d3e0e4d51a7863e25fcb908e715d92ed3630275ae3442d971e2d4f56cdb36c62"),
+    ("pivot_swap_pure", "relabel2"): (23, "c88724001a78a13316259b3df7a31f8173d9f54d57147675bf6af994687d6c29"),
+    ("pivot_swap_pure", "relabel3"): (34, "0f155921474e853bc5f34de3d88a56eee56750edd3b7fb513370aaef6d318d7b"),
+    ("pivot_swap_pure", "pair2"): (23, "8e61fe418f49026296584ce7f17402d8d7a1bca6bebe1c58efc0e607f37f460a"),
+    ("pivot_swap_pure", "pair3"): (34, "6657ca939e75f1e70cae386aaa1b1b617f64d106088c52e3e16c4c72674f223c"),
+    ("remove_non_min", "pivot_swap"): (21, "20e6da5722f60c84787257349dcf4edb94d89743adf2cf10afeb6baa7c9ad64c"),
+    ("remove_non_min", "remove_non_min"): (15, "0edfd8f8bcb671c95ec277adc11b6218f55e55a4ef8f63faab724fe56c21505c"),
+    ("remove_non_min", "relabel2"): (9, "ee66ac899b8f8dddb15230da1e9b3f03aa475289dc7046f5bc08fa2da2556fb9"),
+    ("remove_non_min", "relabel3"): (13, "0bcb162f1ab019b5a5467aa8c00e17662e3d6e1f3373ee2c75261f19d70b83bf"),
+    ("remove_non_min", "pair2"): (9, "58575663e1a37ac040932f76fe6be83a90e339f69942734b5d4780ae5d15fb8d"),
+    ("remove_non_min", "pair3"): (13, "3716d3040c967618383579b5503d6e754d3018ccdb924927f57a090a9dda559d"),
+    ("relabel", "pivot_swap"): (16, "386b4b55facb3c105090e0f7084b55692d615717b1e4e10f73db63961b2eda0b"),
+    ("relabel", "remove_non_min"): (16, "5969261e11d3dc8ccaeafaffd4836aa57f727b8832b4bc1a53db1f3824a6d01c"),
+    ("relabel", "relabel2"): (11, "62c5ead9d602208521eac4263dd538f0bebe617017b0945abe296f836d551d93"),
+    ("relabel", "relabel3"): (15, "10b6402c53314e49c998fad5e77fd9cb2a6e4abb7745579b220cd09d8bed486a"),
+    ("relabel", "pair2"): (7, "398569329dbc2d1e217e6ec2a575ece0796e66237499644b64eceb6c55026cd8"),
+    ("relabel", "pair3"): (10, "101e196dc9353f76680997ca32a81637d742c33d6d7a18762c8804e01d07df84"),
+    ("pair_prop", "pivot_swap"): (31, "38b8800f89a60ae1d0f52aee0f673e197f98651c68dff73f291dde25ce934e7b"),
+    ("pair_prop", "remove_non_min"): (31, "b08e3ef0c0eecbc4ad821a523742390c733dfc3bab4807e4909cbf926ef2c227"),
+    ("pair_prop", "relabel2"): (13, "1fda4c22fe867a88a380aabbd3f192ae6903339a1f2cd76f7367a9fc47c2f382"),
+    ("pair_prop", "relabel3"): (19, "1ad8371dc4b5d98de2b2a2add7dddb56f35e90c3b0632c1c940603a472593f2f"),
+    ("pair_prop", "pair2"): (29, "ad5651ca85db1b75da8c19a40455efe6fc8628dde45271d6458b14bc2bd0c02c"),
+    ("pair_prop", "pair3"): (67, "dce61ca055173c84048d99e49cddad67ed865e00f4c3e65b38320890f760dc7d"),
+    ("copy_prop", "pivot_swap"): (21, "7b8038d1280e461ae5ab17a99c780c63cd7952556db7840614fa93ca3770fe1f"),
+    ("copy_prop", "remove_non_min"): (21, "dc4ab743c4c7327641a8e096421ae0e2e01cb4787fe4372c0a885ed53338edc2"),
+    ("copy_prop", "relabel2"): (9, "4ffb58f53e628a2d52e09cc1c2a809c8b2110cc621cf19ae6b52cd098ec8e1bc"),
+    ("copy_prop", "relabel3"): (13, "c9810ae137b8b1728d2806b9f04e44475f29fd09a6dcf121eb36ef747123265e"),
+    ("copy_prop", "pair2"): (21, "fff0ec43bdae49130ba1be3df7850baf3b75a771240e254e544375827bb339de"),
+    ("copy_prop", "pair3"): (31, "86e3a9cfbead9ccf739b43de4abee2ef327afc2641a5559fe292e90a2180a65a"),
+}
+
+
+class TestRecordedTraces:
+    @pytest.mark.parametrize("program, store_name", [(p, s) for p in PROGRAMS for s in STORES])
+    def test_trace_unchanged(self, program, store_name):
+        run = run_operational(annotate(corpus_program(program)), corpus_store(store_name), max_steps=3000)
+        assert (len(run.trace), trace_sha256(run)) == RECORDED[program, store_name]
+
+    def test_search_only_where_the_head_takes_the_active_constraint(self, pivot_program, pivot_store, monkeypatch):
+        """An occurrence whose head has another predicate or arity than the
+        active constraint moves on (act-next, prop-sat) without a search."""
+        pw = annotate(pivot_program)
+        real_step, real_enumerate = machine.step, machine.enumerate_matches
+        active: list = []
+        searched, mismatched = [], []
+
+        def spy_step(pw, state):
+            active[:] = state.goals[:1]
+            return real_step(pw, state)
+
+        def spy_enumerate(rule, store, anchor=None, **kwargs):
+            head = rule.heads[anchor[0]]
+            head = head if isinstance(head, Atom) else head.atom
+            atom = active[0].atom
+            searched.append(anchor)
+            if (head.pred, head.arity) != (atom.pred, atom.arity):
+                mismatched.append(anchor)
+            return real_enumerate(rule, store, anchor, **kwargs)
+
+        monkeypatch.setattr(machine, "step", spy_step)
+        monkeypatch.setattr(machine, "enumerate_matches", spy_enumerate)
+        run = run_operational(pw, pivot_store, max_steps=3000)
+        kinds = [kind for kind, _ in run.trace]
+        assert searched and not mismatched
+        # Every step of these kinds searched before the gate; some now skip it.
+        after_search = ("act-simpa-1", "act-simpa-2", "act-next", "prop-prop", "prop-sat")
+        assert len(searched) < sum(map(kinds.count, after_search))
+        assert (len(run.trace), trace_sha256(run)) == RECORDED["pivot_swap", "pivot_swap"]

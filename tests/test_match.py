@@ -12,7 +12,7 @@ from chrcp.rules import Atom, Comprehension
 from chrcp.soundness import ABSTRACT, check_soundness, correspondence
 from chrcp.terms import GTrue, Int, Rel, Substitution, Sym, Var, mset
 
-from oracles import oracle_match_keys, production_match_keys
+from oracles import labeled, oracle_match_keys, production_match_keys
 
 
 def atom(text):
@@ -93,7 +93,7 @@ class TestEnumerate:
     def test_pivot_swap_unique_match(self, pivot_program, pivot_store):
         (r,) = pivot_program.rules
         items = list(enumerate(pivot_store))
-        (m,) = enumerate_matches(r, items)
+        (m,) = enumerate_matches(r, labeled(items))
         assert m.theta["Xs"] == mset(Int(7))
         assert m.theta["Ys"] == mset(Int(2))
         assert m.theta["P"] == Int(5)
@@ -101,16 +101,16 @@ class TestEnumerate:
     def test_missing_atom_head_no_match(self, pivot_program):
         (r,) = pivot_program.rules
         items = list(enumerate(parse_store("data(a,7), data(b,2).")))
-        assert enumerate_matches(r, items) == []
+        assert enumerate_matches(r, labeled(items)) == []
 
     def test_maximality_excludes_submatches(self, relabel_program):
         (r,) = relabel_program.rules
         items = list(enumerate(parse_store("a(1), a(2).")))
-        matches = enumerate_matches(r, items)
+        matches = enumerate_matches(r, labeled(items))
         assert len(matches) == 1
         assert matches[0].theta["Xs"] == mset(Int(1), Int(2))
         with maximality_disabled():
-            relaxed = enumerate_matches(r, items)
+            relaxed = enumerate_matches(r, labeled(items))
         assert {m.theta["Xs"] for m in relaxed} == {
             mset(),
             mset(Int(1)),
@@ -121,16 +121,16 @@ class TestEnumerate:
     def test_anchor_restricts_blocks(self, relabel_program):
         (r,) = relabel_program.rules
         items = list(enumerate(parse_store("a(1), a(2), b(9).")))
-        anchored = enumerate_matches(r, items, anchor=(0, 1))
+        anchored = enumerate_matches(r, labeled(items), anchor=(0, 1))
         assert len(anchored) == 1
         assert 1 in anchored[0].block(0)
         # anchoring at an id outside any possible block yields nothing
-        assert enumerate_matches(r, items, anchor=(0, 2)) == []
+        assert enumerate_matches(r, labeled(items), anchor=(0, 2)) == []
 
     def test_empty_block_allowed_when_nothing_subsumable(self, pivot_program):
         (r,) = pivot_program.rules
         st = parse_store("swap(a,b,5), data(a,7).")
-        (m,) = enumerate_matches(r, list(enumerate(st)))
+        (m,) = enumerate_matches(r, labeled(enumerate(st)))
         assert m.theta["Xs"] == mset(Int(7))
         assert m.theta["Ys"] == mset()
 
@@ -139,7 +139,7 @@ class TestEnumerate:
             "r @ {p(X)}#{X in Xs}, {p(Y)}#{Y in Ys} <=> q(Xs, Ys)."
         ).rules
         items = list(enumerate(parse_store("p(1), p(2).")))
-        matches = enumerate_matches(r, items)
+        matches = enumerate_matches(r, labeled(items))
         splits = {(m.theta["Xs"], m.theta["Ys"]) for m in matches}
         # every way of dividing both constraints between the two absorbers
         assert splits == {
@@ -152,7 +152,7 @@ class TestEnumerate:
     def test_rule_var_bound_inside_comprehension(self):
         (r,) = parse_program("r @ g(X), {p(X, D)}#{D in Ds} <=> q(X, Ds).").rules
         items = list(enumerate(parse_store("g(1), g(2), p(1, 5), p(2, 6).")))
-        matches = enumerate_matches(r, items)
+        matches = enumerate_matches(r, labeled(items))
         got = {(m.theta["X"], m.theta["Ds"]) for m in matches}
         assert got == {(Int(1), mset(Int(5))), (Int(2), mset(Int(6)))}
 
@@ -160,7 +160,7 @@ class TestEnumerate:
         (r,) = relabel_program.rules
         items = list(enumerate(parse_store("a(1), a(2).")))
         with maximality_disabled():
-            runs = [tuple(m.sort_key() for m in enumerate_matches(r, items)) for _ in range(3)]
+            runs = [tuple(m.sort_key() for m in enumerate_matches(r, labeled(items))) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
         assert list(runs[0]) == sorted(runs[0])
 
@@ -187,7 +187,7 @@ class TestOracleEquivalence:
             "r @ t(N) \\ {p(D) | D >= W}#{D in Ds} <=> W = N + 1 | q(Ds)."
         ).rules
         items = list(enumerate(parse_store("t(1), p(1), p(2), p(3).")))
-        (m,) = enumerate_matches(rule, items)
+        (m,) = enumerate_matches(rule, labeled(items))
         assert m.theta["W"] == Int(2)
         assert m.theta["Ds"] == mset(Int(2), Int(3))  # p(1) fails 1 >= 2
 
