@@ -4,7 +4,9 @@ Rule heads get unique occurrence indices; an active constraint walks them in
 order, trying to fire the owning rule anchored at that head. Constraints the
 monotonicity analysis clears are stored lazily (on activation); anything
 that could be absorbed by a comprehension head is stored eagerly at init
-time. Propagation rules track per-goal histories of applied instances so
+time. `annotate` decides monotonicity once per program: the predicates whose
+every constraint is monotone, and the comprehension heads that any other
+pattern is checked against. Propagation rules track per-goal histories of applied instances so
 saturation terminates. The store (`match.LabeledStore`) keeps its index up
 to date per step: a label -> atom map, per-predicate buckets in label order
 for the head-match search, and digest tokens for `state_digest`. A head of
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Union
 
 from .errors import ChrcpError
 from .match import LabeledStore, MatchResult, enumerate_matches
-from .monotone import is_monotone
+from .monotone import Absorber, absorbers, predicate_report, verdict
 from .rewrite import MAX_STEPS, unfold_body
 from .rules import (
     Atom,
@@ -48,22 +50,25 @@ class OccurrenceProgram:
     source: Program
     rules: tuple[AnnotatedRule, ...]
     table: dict  # occurrence index -> (AnnotatedRule, head position)
-    _mono_cache: dict = field(default_factory=dict, repr=False)
+    absorbers: tuple[Absorber, ...]  # comprehension heads, renamed apart
+    monotone_preds: frozenset  # (pred, arity) pairs whose generic atom is monotone
 
     def lookup(self, i: int):
         """Rule owning occurrence i with the head position, or None."""
         return self.table.get(i)
 
     def monotone(self, pattern: Pattern) -> bool:
-        hit = self._mono_cache.get(pattern)
-        if hit is None:
-            hit = is_monotone(self.source, pattern)
-            self._mono_cache[pattern] = hit
-        return hit
+        """A pattern of a monotone predicate is monotone; any other pattern
+        gets its own verdict against the program's comprehension heads."""
+        atom = pattern if isinstance(pattern, Atom) else pattern.atom
+        if (atom.pred, atom.arity) in self.monotone_preds:
+            return True
+        return verdict(self.absorbers, pattern).monotone
 
 
 def annotate(program: Program) -> OccurrenceProgram:
-    """Number every head pattern 1..N in textual order."""
+    """Number every head pattern 1..N in textual order, and analyse the
+    program's monotonicity once for every run of the machine on it."""
     rules: list[AnnotatedRule] = []
     table: dict = {}
     i = 0
@@ -77,7 +82,9 @@ def annotate(program: Program) -> OccurrenceProgram:
         for pos, idx in enumerate(ar.occurrences):
             table[idx] = (ar, pos)
         rules.append(ar)
-    return OccurrenceProgram(program, tuple(rules), table)
+    normalized = Program(tuple(ar.rule for ar in rules))
+    preds = frozenset(k for k, mono in predicate_report(normalized).items() if mono)
+    return OccurrenceProgram(program, tuple(rules), table, absorbers(normalized), preds)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ The unifiability test deliberately over-approximates guard satisfiability:
 after syntactic unification, a guard conjunct is evaluated only when ground;
 anything still containing variables counts as possibly satisfiable. That can
 only demote constraints to eager storage, never the reverse, so it is safe.
+An instance of a pattern unifies with no more heads and grounds no fewer
+conjuncts, so an instance of a monotone pattern is monotone too: a predicate
+whose generic atom is monotone needs no verdict per constraint.
 """
 
 from __future__ import annotations
@@ -194,25 +197,27 @@ def _bind_names(g: Guard) -> set[str]:
 # Unifiability of a body pattern with a comprehension head
 
 
-def unifiable_atom_comp(rule_guard: Guard, a: Atom, m: Comprehension) -> bool:
-    """Over-approximate: can some instance of `a` be absorbed by `m`?"""
-    a2 = _rename_apart(a, "#b")
-    m2 = _rename_apart(m, "#h")
-    g2 = _rename_apart(rule_guard, "#h")
-    s = unify_atoms(a2, m2.atom)
-    if s is None:
-        return False
-    return _guards_possibly_sat([m2.guard, g2], s)
+def unifiable(pattern: Pattern, head: Comprehension, rule_guard: Guard) -> bool:
+    """Over-approximate: can some instance of `pattern` be absorbed by `head`,
+    a comprehension head of a rule guarded by `rule_guard`? The pattern must
+    share no variable with the head and the guard (see `absorbers`)."""
+    atom, guards = (pattern, []) if isinstance(pattern, Atom) else (pattern.atom, [pattern.guard])
+    s = unify_atoms(atom, head.atom)
+    return s is not None and _guards_possibly_sat(guards + [head.guard, rule_guard], s)
 
 
-def unifiable_comp_comp(rule_guard: Guard, body: Comprehension, m: Comprehension) -> bool:
-    b2 = _rename_apart(body, "#b")
-    m2 = _rename_apart(m, "#h")
-    g2 = _rename_apart(rule_guard, "#h")
-    s = unify_atoms(b2.atom, m2.atom)
-    if s is None:
-        return False
-    return _guards_possibly_sat([b2.guard, m2.guard, g2], s)
+Absorber = tuple[str, Comprehension, Comprehension, Guard]
+
+
+def absorbers(program: Program) -> tuple[Absorber, ...]:
+    """Every comprehension head of the normalized program as (rule name,
+    head, head renamed apart, rule guard renamed apart with it)."""
+    return tuple(
+        (rule.name, head, _rename_apart(head, "#h"), _rename_apart(rule.guard, "#h"))
+        for rule in normalize_program(program).rules
+        for head in rule.heads
+        if isinstance(head, Comprehension)
+    )
 
 
 @dataclass(frozen=True)
@@ -228,56 +233,34 @@ class MonotonicityReport:
     verdicts: tuple[PatternVerdict, ...]
 
 
+def verdict(heads: Iterable[Absorber], pattern: Pattern) -> PatternVerdict:
+    """Monotone iff the pattern unifies with none of the `absorbers` heads;
+    otherwise the first such head is the witness."""
+    renamed = _rename_apart(pattern, "#b")
+    for rule, head, head_apart, guard_apart in heads:
+        if unifiable(renamed, head_apart, guard_apart):
+            return PatternVerdict(pattern, False, rule, head)
+    return PatternVerdict(pattern, True)
+
+
 def residual_non_unifiable(program: Program, patterns: Iterable[Pattern]) -> MonotonicityReport:
     """Verdict per pattern: monotone iff it unifies with no comprehension head."""
-    program = normalize_program(program)
-    verdicts: list[PatternVerdict] = []
-    for pat in patterns:
-        verdict = PatternVerdict(pat, True)
-        for rule in program.rules:
-            hit = None
-            for head in rule.heads:
-                if not isinstance(head, Comprehension):
-                    continue
-                if isinstance(pat, Atom):
-                    if unifiable_atom_comp(rule.guard, pat, head):
-                        hit = head
-                        break
-                else:
-                    if unifiable_comp_comp(rule.guard, pat, head):
-                        hit = head
-                        break
-            if hit is not None:
-                verdict = PatternVerdict(pat, False, rule.name, hit)
-                break
-        verdicts.append(verdict)
-    return MonotonicityReport(tuple(verdicts))
+    heads = absorbers(program)
+    return MonotonicityReport(tuple(verdict(heads, p) for p in patterns))
 
 
 def is_monotone(program: Program, pattern: Pattern) -> bool:
-    return residual_non_unifiable(program, [pattern]).verdicts[0].monotone
-
-
-def program_predicates(program: Program) -> dict[tuple[str, int], None]:
-    """Predicate/arity pairs in head, body and comprehension positions."""
-    out: dict[tuple[str, int], None] = {}
-
-    def see(p: Pattern) -> None:
-        a = p if isinstance(p, Atom) else p.atom
-        out.setdefault((a.pred, a.arity))
-
-    for r in program.rules:
-        for p in r.heads:
-            see(p)
-        for p in r.body:
-            see(p)
-    return out
+    return verdict(absorbers(program), pattern).monotone
 
 
 def predicate_report(program: Program) -> dict[tuple[str, int], bool]:
-    """Monotonicity of the generic atom p(X1..Xk) per predicate."""
+    """Monotonicity of the generic atom p(X1..Xk) per predicate/arity pair in
+    head, body and comprehension positions."""
     result: dict[tuple[str, int], bool] = {}
-    for pred, arity in program_predicates(program):
-        generic = Atom(pred, tuple(Var(f"X{i+1}") for i in range(arity)))
-        result[(pred, arity)] = is_monotone(program, generic)
+    for rule in program.rules:
+        for p in rule.heads + rule.body:
+            a = p if isinstance(p, Atom) else p.atom
+            if (a.pred, a.arity) not in result:
+                generic = Atom(a.pred, tuple(Var(f"X{i+1}") for i in range(a.arity)))
+                result[(a.pred, a.arity)] = is_monotone(program, generic)
     return result

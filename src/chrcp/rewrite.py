@@ -122,6 +122,7 @@ def run_abstract(program: Program, store: Store, max_steps: int = MAX_STEPS, see
     block is empty) are skipped: the relation admits them, but a runner
     looping on them would never produce anything new.
     """
+    program = normalize_program(program)
     rng = random.Random(seed)
     current = store_of(store)
     steps: list[AbstractStep] = []

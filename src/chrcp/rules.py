@@ -10,7 +10,6 @@ guards; matching then only ever binds variables against store values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .terms import (
@@ -207,7 +206,6 @@ def normalize_rule(r: Rule) -> Rule:
     return Rule(r.name, propagated, simplified, guard, r.body, normalized=True)
 
 
-@lru_cache(maxsize=128)
 def normalize_program(p: Program) -> Program:
     return Program(tuple(normalize_rule(r) for r in p.rules))
 

@@ -28,7 +28,7 @@ from .match import MatchResult, matches_exactly, residual_non_match
 from .parse import pretty_store
 from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, rule_application, unfold_body
 from .rules import Atom, Pattern, Program, Rule, canonical_store
-from .terms import eval_guard_env, guard_bind_vars
+from .terms import eval_guard
 
 
 def correspondence(state: ExecutionState) -> Store:
@@ -79,12 +79,9 @@ def _confirm_certificate(
     for head, block in zip(heads, m.blocks):
         if not matches_exactly([head], [atoms[i] for i in block]):
             return None
-    # theta already binds the `:=` variables, and binding them again would
-    # raise RebindError: evaluate without them, then compare.
-    binds = guard_bind_vars(rule.guard)
-    env = {k: v for k, v in theta.items() if k not in binds}
-    ok, env = eval_guard_env(rule.guard, env)
-    if not ok or any(env.get(v) != theta.get(v) for v in binds):
+    # theta binds the `:=` variables too, so substituting it turns each
+    # binding into an equality check.
+    if not eval_guard(theta.apply(rule.guard)):
         return None
     erased = Counter(ca)
     rest = erased.copy()

@@ -92,6 +92,28 @@ class TestRun:
         assert out.returncode == 1
         assert "nesting deeper than" in out.stderr and "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command", [["run"], ["check", "--max-steps", "5000"]])
+    def test_term_nesting_per_step_exit_one(self, capsys, tmp_path, command):
+        # Each firing nests the term one level deeper, until comparing two
+        # terms recurses past the interpreter's limit.
+        f = tmp_path / "nest.chrcp"
+        f.write_text("r @ p(X) <=> p((X, 0)).\n")
+        s = tmp_path / "s.store"
+        s.write_text("p(0).\n")
+        code, _, err = run_cli(capsys, *command, str(f), "--store", str(s))
+        assert code == 1
+        assert "recursion limit" in err and len(err.strip().splitlines()) == 1
+
+    def test_deep_match_search_exit_one(self, capsys, tmp_path):
+        # The search assigns the a's to the two comprehensions one by one.
+        f = tmp_path / "split.chrcp"
+        f.write_text("split @ go, {a(X)}#{X in Xs}, {a(Y)}#{Y in Ys} <=> l(Xs), r(Ys).\n")
+        s = tmp_path / "s.store"
+        s.write_text("go, " + ", ".join(f"a({i})" for i in range(1200)) + ".\n")
+        code, _, err = run_cli(capsys, "run", str(f), "--store", str(s))
+        assert code == 1
+        assert "recursion limit" in err and len(err.strip().splitlines()) == 1
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"
         f.write_text("r @ p(X \\ q(X)\n")

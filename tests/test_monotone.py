@@ -1,13 +1,14 @@
+import itertools
 import random
 
-from chrcp.fuzz import generate_random
+from chrcp.fuzz import MAX_VALUE, generate_random
+from chrcp.machine import annotate
 from chrcp.match import subsumes
 from chrcp.monotone import (
     is_monotone,
     predicate_report,
     residual_non_unifiable,
-    unifiable_atom_comp,
-    unifiable_comp_comp,
+    unifiable,
 )
 from chrcp.parse import parse_program
 from chrcp.rules import Atom, Comprehension, Program, normalize_program
@@ -18,6 +19,8 @@ from chrcp.terms import (
     Substitution,
     Var,
     conj,
+    eval_guard,
+    guard_vars,
 )
 
 
@@ -27,22 +30,22 @@ def comp(pred, *args, guard=GUARD_TRUE, binders=("Y",), domain="Ys"):
 
 class TestUnifiability:
     def test_predicate_mismatch(self):
-        assert not unifiable_atom_comp(GUARD_TRUE, Atom("b", (Var("X"),)), comp("a", Var("Y")))
+        assert not unifiable(Atom("b", (Var("X"),)), comp("a", Var("Y")), GUARD_TRUE)
 
     def test_open_pattern_unifies(self):
-        assert unifiable_atom_comp(GUARD_TRUE, Atom("a", (Var("X"),)), comp("a", Var("Y")))
+        assert unifiable(Atom("a", (Var("X"),)), comp("a", Var("Y")), GUARD_TRUE)
 
     def test_ground_guard_refutes(self):
         m = comp("a", Var("Y"), guard=Rel("<", Var("Y"), Int(3)))
-        assert not unifiable_atom_comp(GUARD_TRUE, Atom("a", (Int(3),)), m)
-        assert unifiable_atom_comp(GUARD_TRUE, Atom("a", (Int(2),)), m)
+        assert not unifiable(Atom("a", (Int(3),)), m, GUARD_TRUE)
+        assert unifiable(Atom("a", (Int(2),)), m, GUARD_TRUE)
 
     def test_comp_comp(self):
         body = Comprehension(
             Atom("a", (Var("X"),)), Rel(">", Var("X"), Int(0)), ("X",), Var("Xs")
         )
-        assert not unifiable_comp_comp(GUARD_TRUE, body, comp("b", Var("Y")))
-        assert unifiable_comp_comp(GUARD_TRUE, body, comp("a", Var("Y")))
+        assert not unifiable(body, comp("b", Var("Y")), GUARD_TRUE)
+        assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
 
     def test_contradictory_open_guard_over_approximates(self):
         body = Comprehension(
@@ -52,7 +55,7 @@ class TestUnifiability:
             Var("Xs"),
         )
         # the conjunct-wise approximation does not see the contradiction
-        assert unifiable_comp_comp(GUARD_TRUE, body, comp("a", Var("Y")))
+        assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
 
 
 class TestVerdicts:
@@ -133,4 +136,51 @@ class TestApproximationSafety:
                             inst = theta.apply(head)
                             assert subsumes(a, inst) is None
                             checked += 1
+        assert checked > 100
+
+
+def ground_instances(atom, guard=GUARD_TRUE):
+    """Every instance of `atom` with its variables (and the guard's) set to
+    values 0..MAX_VALUE under which the guard holds."""
+    names = sorted(atom.free_vars() | guard_vars(guard))
+    for values in itertools.product(range(MAX_VALUE + 1), repeat=len(names)):
+        theta = Substitution({v: Int(x) for v, x in zip(names, values)})
+        if eval_guard(theta.apply(guard)):
+            yield theta.apply(atom)
+
+
+class TestInstances:
+    """A monotone verdict on a pattern carries over to its ground instances;
+    `OccurrenceProgram.monotone` answers a monotone predicate's instances
+    without a verdict of their own, which is sound only because of this."""
+
+    SEEDS = range(200)
+
+    def test_monotone_predicate_has_only_monotone_instances(self):
+        checked = 0
+        for seed in self.SEEDS:
+            program, _ = generate_random(seed)
+            pw = annotate(program)
+            for (pred, arity), mono in predicate_report(program).items():
+                generic = Atom(pred, tuple(Var(f"X{i}") for i in range(arity)))
+                for inst in ground_instances(generic):
+                    assert pw.monotone(inst) is is_monotone(program, inst), (seed, inst)
+                    if mono:
+                        assert is_monotone(program, inst), (seed, inst)
+                        checked += 1
+        assert checked > 1000
+
+    def test_monotone_body_pattern_has_only_monotone_instances(self):
+        checked = 0
+        for seed in self.SEEDS:
+            program, _ = generate_random(seed)
+            body = [p for rule in program.rules for p in rule.body]
+            for v in residual_non_unifiable(program, body).verdicts:
+                if not v.monotone:
+                    continue
+                p = v.pattern
+                instances = ground_instances(p) if isinstance(p, Atom) else ground_instances(p.atom, p.guard)
+                for inst in instances:
+                    assert is_monotone(program, inst), (seed, p, inst)
+                    checked += 1
         assert checked > 100

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chrcp.errors import NonGroundError, ParseError, ScopeError
+from chrcp.bundled import PROGRAMS, STORES, corpus_path
+from chrcp.errors import ChrcpError, NonGroundError, ParseError, ScopeError
 from chrcp.fuzz import generate_random
 from chrcp.parse import (
     MAX_NESTING,
@@ -160,3 +163,49 @@ class TestRoundTrip:
 
     def test_store_round_trips(self, pivot_store):
         assert parse_store(pretty_store(pivot_store)) == pivot_store
+
+
+# Every character the grammar uses (docs/grammar.md), and its multi-character
+# tokens, so random text reaches past the first token now and then.
+GRAMMAR_CHARS = "aqzAXY_019 \n%@\\<=>!+-*,.|#(){}[]"
+GRAMMAR_TOKENS = (
+    "p", "q(", "X", "Ys", "_", "0", "12", "@", "\\", "<=>", "==>", "|", ",", ".",
+    "(", ")", "{", "}", "[", "]", "#", " in ", "true", "false", "infty", "=",
+    "!=", "<", "<=", ">", ">=", "+", "-", "*", "min(", "max(", "reduce(", "% c\n",
+)
+CORPUS_TEXTS = tuple(
+    corpus_path(name, kind).read_text()
+    for names, kind in ((PROGRAMS, "program"), (STORES, "store"))
+    for name in names
+)
+
+
+def parses_or_raises_chrcp_error(text: str) -> None:
+    """Any other exception escapes the test and fails it."""
+    for parse in (parse_program, parse_store):
+        try:
+            parse(text)
+        except ChrcpError:
+            pass
+
+
+class TestParserProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet=GRAMMAR_CHARS, max_size=60)
+        | st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=30).map("".join)
+    )
+    def test_random_text(self, text):
+        parses_or_raises_chrcp_error(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(CORPUS_TEXTS),
+        st.integers(min_value=0),
+        st.sampled_from(("delete", "insert", "replace")),
+        st.sampled_from(GRAMMAR_CHARS),
+    )
+    def test_corpus_mutations(self, text, at, op, char):
+        at %= len(text) + 1
+        tail = text[at + 1 :] if op != "insert" else text[at:]
+        parses_or_raises_chrcp_error(text[:at] + ("" if op == "delete" else char) + tail)
