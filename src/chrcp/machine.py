@@ -167,20 +167,25 @@ def _instance_key(ar: AnnotatedRule, match: MatchResult) -> tuple:
     return (theta.key(), tuple(sorted(match.all_ids())))
 
 
-def _anchored_matches(ar: AnnotatedRule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore) -> list[MatchResult]:
-    """Matches of `ar` with the active constraint in head `pos`. A head of
-    another predicate or arity cannot take it, so that costs no search."""
+def _anchored_matches(
+    ar: AnnotatedRule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore, limit: int | None
+) -> list[MatchResult]:
+    """The `limit` least matches of `ar` with the active constraint in head
+    `pos`. A head of another predicate or arity cannot take it, so that
+    costs no search."""
     head = ar.rule.heads[pos]
     head = head if isinstance(head, Atom) else head.atom
     if head.pred != goal.atom.pred or head.arity != goal.atom.arity:
         return []
-    return enumerate_matches(ar.rule, store, anchor=(pos, goal.label))
+    return enumerate_matches(ar.rule, store, anchor=(pos, goal.label), limit=limit)
 
 
 def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, str] | None:
     """One transition of the leading goal; None when the stack is empty. A
     firing takes the least match (`MatchResult.sort_key` order) that a
-    propagation goal's history does not already hold."""
+    propagation goal's history does not already hold. The search is bounded
+    by that need (`enumerate_matches`' `limit`): one match for a
+    simplification, `len(history) + 1` for a propagation."""
     if not state.goals:
         return None
     goal, rest = state.goals[0], state.goals[1:]
@@ -225,7 +230,7 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
                 ),
                 "act-prop",
             )
-        matches = _anchored_matches(ar, pos, goal, store)
+        matches = _anchored_matches(ar, pos, goal, store, 1)
         n_prop = len(ar.rule.propagated)
         if matches:
             m = matches[0]
@@ -247,8 +252,16 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         if hit is None:
             raise ChrcpError("prop goal on a vanished occurrence")
         ar, pos = hit
-        matches = _anchored_matches(ar, pos, goal, store)
+        # The history holds len(history) instance keys, so the least
+        # len(history) + 1 matches hold a new one unless two of them share a
+        # key (equal atoms swapped between heads); then the search runs
+        # again in full.
+        limit = len(goal.history) + 1
+        matches = _anchored_matches(ar, pos, goal, store, limit)
         m = next((m for m in matches if _instance_key(ar, m) not in goal.history), None)
+        if m is None and len(matches) == limit:
+            matches = _anchored_matches(ar, pos, goal, store, None)
+            m = next((m for m in matches if _instance_key(ar, m) not in goal.history), None)
         if m is not None:
             body = m.theta.apply(ar.rule.body)
             new_hist = goal.history | {_instance_key(ar, m)}

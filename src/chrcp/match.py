@@ -12,7 +12,9 @@ Three judgments drive everything:
 `enumerate_matches` is the search procedure: it solves for a substitution
 pattern by pattern (atoms first, by predicate-indexed backtracking, then
 comprehension absorption with branching on contested constraints), and
-validates every candidate against the declarative judgments above.
+validates every match it keeps against the declarative judgments above.
+Asked for the `limit` least matches, it searches least-first by branch and
+bound and cuts every branch that cannot beat them, before validation.
 """
 
 from __future__ import annotations
@@ -448,16 +450,25 @@ def enumerate_matches(
     anchor: tuple[int, int] | None = None,
     *,
     check_maximality: bool | None = None,
+    limit: int | None = None,
 ) -> list[MatchResult]:
-    """All maximal matches of a rule against a labeled store.
+    """The maximal matches of a rule against a labeled store, least first in
+    `MatchResult.sort_key` order (block ids per head, then substitution):
+    all of them, or with `limit` only the `limit` least.
 
     `anchor`, when given, is (head pattern index, store label): the item
-    must land in that pattern's block. Results come back deterministically
-    ordered (block ids per head, then substitution). Atom heads take their
-    candidates, and comprehensions absorb, from their predicates' buckets.
+    must land in that pattern's block. Atom heads take their candidates,
+    and comprehensions absorb, from their predicates' buckets in label
+    order. With a `limit` the search is branch and bound: the blocks chosen
+    so far bound every completion from below (an atom head's block is its
+    one label, a comprehension's block only grows by larger labels), and a
+    branch whose bound exceeds the `limit`-th least match found so far is
+    cut. Choices are tried least-first, so the bound tightens early.
     `check_maximality=None` defers to the ambient flag (see
     `maximality_disabled`); pass True to force the real semantics.
     """
+    if limit is not None and limit < 1:
+        raise ChrcpError(f"match limit must be at least 1, not {limit}")
     maximal = ambient_maximality() if check_maximality is None else check_maximality
     rule = normalize_rule(rule)
     heads = rule.heads
@@ -470,27 +481,42 @@ def enumerate_matches(
     by_pred, atoms_by_id = store.by_pred, store.by_label
     comp_buckets = [by_pred.get(pred, ()) for pred in {heads[i].atom.pred for i in comp_idx}]
 
-    results: list[MatchResult] = []
+    results: list[MatchResult] = []  # with a limit: the least found so far, sorted
     seen: set = set()
+
+    def blocks_so_far(chosen: dict[int, int], absorbed: Mapping[int, list[int]]) -> tuple:
+        """Blocks of the chosen atom heads and of what each comprehension
+        absorbed so far; () for the heads not reached yet."""
+        return tuple(
+            (chosen[h],) if h in chosen else tuple(absorbed.get(h, ())) for h in range(len(heads))
+        )
+
+    def cut(chosen: dict[int, int], absorbed: Mapping[int, list[int]]) -> bool:
+        """Once `limit` matches are found: no match whose blocks extend the
+        ones chosen so far can be among the `limit` least."""
+        if limit is None or len(results) < limit:
+            return False
+        return blocks_so_far(chosen, absorbed) > results[-1].blocks
 
     def finish(
         env: dict[str, Term],
-        assign: dict[int, int | None],
-        tuples: dict[int, list[tuple[int, Term]]],
-        risky_stays: frozenset[int],
+        chosen: dict[int, int],
+        labels: Mapping[int, list[int]],
+        tuples: Mapping[int, list[Term]],
+        risky_stays: list[int],
     ) -> None:
-        blocks: dict[int, list[int]] = {i: [] for i in range(len(heads))}
-        for item_id, h in assign.items():
-            if h is not None:
-                blocks[h].append(item_id)
+        blocks = blocks_so_far(chosen, labels)
+        if anchor is not None and anchor[1] not in blocks[anchor[0]]:
+            return
+        if cut(chosen, labels):
+            return
         # Bind each comprehension's domain to its collected binder tuples.
         env = dict(env)
         for ci in comp_idx:
             comp: Comprehension = heads[ci]  # type: ignore[assignment]
             if not isinstance(comp.domain, Var):
                 raise ChrcpError(f"comprehension head domain {comp.domain!r} is not a variable")
-            collected = [t for _, t in tuples.get(ci, ())]
-            dval = MSet(tuple(sorted(collected, key=term_key)))
+            dval = MSet(tuple(sorted(tuples[ci], key=term_key)))
             if comp.domain.name in env:
                 if env[comp.domain.name] != dval:
                     return
@@ -504,88 +530,95 @@ def enumerate_matches(
         matched_pats = []
         for hi, p in enumerate(heads):
             inst = theta.apply(p)
-            block_atoms = [atoms_by_id[i] for i in sorted(blocks[hi])]
             try:
-                if not matches_exactly([inst], block_atoms):
+                if not matches_exactly([inst], [atoms_by_id[i] for i in blocks[hi]]):
                     return
             except (TermTypeError, NonGroundError):
                 return
             matched_pats.append(inst)
-        if anchor is not None and anchor[1] not in blocks[anchor[0]]:
-            return
         if maximal and risky_stays:
             # Items rejected by every comprehension at assign time stay
             # rejected (failures are stable as the substitution grows), so
             # only deliberate stay choices need the residual test.
-            rest = [atoms_by_id[i] for i in sorted(risky_stays)]
-            if not residual_non_match(matched_pats, rest):
+            if not residual_non_match(matched_pats, [atoms_by_id[i] for i in risky_stays]):
                 return
-        res = MatchResult(theta, tuple(tuple(sorted(blocks[i])) for i in range(len(heads))))
-        key = (res.blocks, res.theta.key())
+        res = MatchResult(theta, blocks)
+        key = res.sort_key()
         if key not in seen:
             seen.add(key)
             results.append(res)
+            if limit is not None:
+                results.sort(key=MatchResult.sort_key)
+                del results[limit:]
 
-    def assign_comps(
-        remaining: list[StoreItem],
-        env: dict[str, Term],
-        assign: dict[int, int | None],
-        tuples: dict[int, list[tuple[int, Term]]],
-        risky_stays: frozenset[int],
-    ) -> None:
-        # Iterative over forced choices; recursion only on genuine branching,
-        # so the stack depth is bounded by the number of contested items.
-        assign = dict(assign)
-        tuples = {k: list(v) for k, v in tuples.items()}
-        pos = 0
-        while pos < len(remaining):
-            item_id, atom = remaining[pos]
-            pos += 1
-            candidates: list[tuple[int, dict[str, Term], Term, bool]] = []
-            for ci in comp_idx:
-                comp: Comprehension = heads[ci]  # type: ignore[assignment]
-                if anchor is not None and anchor[1] == item_id and anchor[0] != ci:
+    def assign_comps(remaining: list[StoreItem], env: dict[str, Term], chosen: dict[int, int]) -> None:
+        # The items each comprehension absorbed so far (labels, binder
+        # tuples) and the items deliberately left out, all in label order.
+        labels: dict[int, list[int]] = {ci: [] for ci in comp_idx}
+        tuples: dict[int, list[Term]] = {ci: [] for ci in comp_idx}
+        stays: list[int] = []
+        # Depth-first over contested items with an explicit stack. An entry
+        # is one choice for one item: where to resume, the substitution,
+        # the list lengths to roll back to, and (item, comprehension or None
+        # for "stays out", binder tuple).
+        stack: list = [(0, env, None, None)]
+        while stack:
+            pos, env, marks, choice = stack.pop()
+            if marks is not None:
+                for ci, n in zip(comp_idx, marks):
+                    del labels[ci][n:], tuples[ci][n:]
+                del stays[marks[-1] :]
+                item_id, ci, btuple = choice
+                if ci is None:
+                    stays.append(item_id)
+                else:
+                    labels[ci].append(item_id)
+                    tuples[ci].append(btuple)
+                if cut(chosen, labels):
                     continue
-                hit = _absorb_lenient(comp, atom, env, solvable)
-                if hit is not None:
-                    candidates.append((ci,) + hit)
-            anchored_here = anchor is not None and anchor[1] == item_id
-            if anchored_here and anchor[0] in comp_idx:
-                candidates = [c for c in candidates if c[0] == anchor[0]]
-            if not candidates:
-                if anchored_here:
-                    return  # the anchored item must be absorbed
-                assign[item_id] = None
-                continue
-            # A candidate that neither extended the substitution nor deferred
-            # guard checks absorbs the item under any final substitution, so
-            # leaving it unassigned would always fail the residual test.
-            may_stay = not anchored_here and not (
-                maximal and any(clean for _, _, _, clean in candidates)
-            )
-            if len(candidates) == 1 and not may_stay:
-                ci, env2, btuple, _ = candidates[0]
-                env = env2
-                assign[item_id] = ci
-                tuples.setdefault(ci, []).append((item_id, btuple))
-                continue
-            rest = remaining[pos:]
-            for ci, env2, btuple, _ in candidates:
-                tuples2 = {k: list(v) for k, v in tuples.items()}
-                tuples2.setdefault(ci, []).append((item_id, btuple))
-                assign_comps(rest, env2, {**assign, item_id: ci}, tuples2, risky_stays)
-            if may_stay:
-                stays = risky_stays | {item_id}
-                assign_comps(rest, env, {**assign, item_id: None}, tuples, stays)
-            return
-        finish(env, assign, tuples, risky_stays)
+            while pos < len(remaining):
+                item_id, atom = remaining[pos]
+                pos += 1
+                anchored_here = anchor is not None and anchor[1] == item_id
+                candidates: list[tuple[int, dict[str, Term], Term, bool]] = []
+                for ci in comp_idx:
+                    if anchored_here and anchor[0] != ci:
+                        continue
+                    hit = _absorb_lenient(heads[ci], atom, env, solvable)  # type: ignore[arg-type]
+                    if hit is not None:
+                        candidates.append((ci,) + hit)
+                if not candidates:
+                    if anchored_here:
+                        break  # the anchored item must be absorbed
+                    continue
+                # A candidate that neither extended the substitution nor deferred
+                # guard checks absorbs the item under any final substitution, so
+                # leaving it unassigned would always fail the residual test.
+                may_stay = not anchored_here and not (
+                    maximal and any(clean for _, _, _, clean in candidates)
+                )
+                if len(candidates) == 1 and not may_stay:
+                    ci, env, btuple, _ = candidates[0]
+                    labels[ci].append(item_id)
+                    tuples[ci].append(btuple)
+                    continue
+                # The stack pops the last choice first, so the least come
+                # first: staying out, then the later comprehensions.
+                marks = tuple(len(labels[ci]) for ci in comp_idx) + (len(stays),)
+                stack.extend((pos, env2, marks, (item_id, ci, btuple)) for ci, env2, btuple, _ in candidates)
+                if may_stay:
+                    stack.append((pos, env, marks, (item_id, None, None)))
+                break
+            else:
+                finish(env, chosen, labels, tuples, stays)
 
-    def match_atoms(pending: list[int], used: set[int], env: dict[str, Term], assign: dict[int, int | None]) -> None:
+    def match_atoms(pending: list[int], env: dict[str, Term], chosen: dict[int, int]) -> None:
         if not pending:
+            used = set(chosen.values())
             remaining = [it for bucket in comp_buckets for it in bucket if it[0] not in used]
             if len(comp_buckets) > 1:
                 remaining.sort()  # merge the buckets in label order (labels are distinct)
-            assign_comps(remaining, env, assign, {}, frozenset())
+            assign_comps(remaining, env, chosen)
             return
         hi = pending[0]
         pat: Atom = heads[hi]  # type: ignore[assignment]
@@ -594,19 +627,22 @@ def enumerate_matches(
         else:
             cands = by_pred.get(pat.pred, ())
         for item_id, atom in cands:
-            if item_id in used:
+            if item_id in chosen.values():
                 continue
             if anchor is not None and anchor[1] == item_id and anchor[0] != hi:
                 continue
+            chosen2 = {**chosen, hi: item_id}
+            if cut(chosen2, {}):
+                break  # the later candidates have larger labels
             env2 = _match_atom(pat, atom, env, solvable)
             if env2 is None:
                 continue
             lenv = _solve_guard(rule.guard, env2, solvable, lenient=True)
             if lenv is None:
                 continue
-            match_atoms(pending[1:], used | {item_id}, env2, {**assign, item_id: hi})
+            match_atoms(pending[1:], env2, chosen2)
 
-    match_atoms(atom_idx, set(), {}, {})
+    match_atoms(atom_idx, {}, {})
     results.sort(key=MatchResult.sort_key)
     return results
 

@@ -104,15 +104,16 @@ class TestRun:
         assert code == 1
         assert "recursion limit" in err and len(err.strip().splitlines()) == 1
 
-    def test_deep_match_search_exit_one(self, capsys, tmp_path):
-        # The search assigns the a's to the two comprehensions one by one.
+    def test_deep_match_search_completes(self, capsys, tmp_path):
+        # Every a is contested by the two comprehensions; the search keeps
+        # its 1,200 choices on an explicit stack, not the interpreter's.
         f = tmp_path / "split.chrcp"
         f.write_text("split @ go, {a(X)}#{X in Xs}, {a(Y)}#{Y in Ys} <=> l(Xs), r(Ys).\n")
         s = tmp_path / "s.store"
         s.write_text("go, " + ", ".join(f"a({i})" for i in range(1200)) + ".\n")
-        code, _, err = run_cli(capsys, "run", str(f), "--store", str(s))
-        assert code == 1
-        assert "recursion limit" in err and len(err.strip().splitlines()) == 1
+        code, out, _ = run_cli(capsys, "run", str(f), "--store", str(s))
+        assert code == 0
+        assert out.strip() == "l([]), r([" + ", ".join(map(str, range(1200))) + "])."
 
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"

@@ -345,6 +345,31 @@ class TestSaturation:
         assert len(oracle_prop_instances(rule, p_items)) == 1
         assert self.fires(run) == 2
 
+    def test_shared_instance_key_searches_again(self, monkeypatch):
+        """Two matches of one anchored search share an instance key when the
+        other heads swap equal atoms. Then the least len(history) + 1 matches
+        can all be in the history, and the goal searches again in full. (Two
+        heads cannot do this: the anchor then fixes the other label, so
+        `pair_prop` never re-runs.)"""
+        pw = annotate(parse_program("t @ p(X), p(Y), p(Z) ==> q(X, Y, Z)."))
+        init = parse_store("p(1), p(1), p(1), p(1).")
+        real = machine.enumerate_matches
+        limits = []
+
+        def spy(rule, store, anchor=None, *, limit=None, **kwargs):
+            limits.append(limit)
+            return real(rule, store, anchor, limit=limit, **kwargs)
+
+        def unbounded(rule, store, anchor=None, *, limit=None, **kwargs):
+            return real(rule, store, anchor, **kwargs)
+
+        monkeypatch.setattr(machine, "enumerate_matches", spy)
+        run = run_operational(pw, init)
+        assert None in limits
+        assert self.fires(run) == 12
+        monkeypatch.setattr(machine, "enumerate_matches", unbounded)
+        assert run_operational(pw, init).trace == run.trace
+
     def test_termination_on_monotone_propagation(self):
         p = parse_program("r @ p(X), p(Y) ==> q(X, Y). s @ q(X, Y) ==> m(X).")
         run = run_operational(annotate(p), parse_store("p(1), p(2), p(3)."), max_steps=4000)

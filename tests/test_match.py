@@ -1,3 +1,9 @@
+from contextlib import nullcontext
+
+import pytest
+
+from chrcp import match
+from chrcp.errors import ChrcpError
 from chrcp.fuzz import generate_random
 from chrcp.machine import annotate, run_operational
 from chrcp.match import (
@@ -163,6 +169,50 @@ class TestEnumerate:
             runs = [tuple(m.sort_key() for m in enumerate_matches(r, labeled(items))) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
         assert list(runs[0]) == sorted(runs[0])
+
+
+class TestLimit:
+    def test_limit_returns_the_least_matches(self):
+        """`limit=k` is the first k of full enumeration, with and without an
+        anchor and with maximality on or off."""
+        longer = 0
+        for seed in range(200):
+            program, init = generate_random(seed)
+            store = labeled(enumerate(init, 1))
+            for rule in program.rules:
+                anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in store.entries]
+                for relaxed in (False, True):
+                    with maximality_disabled() if relaxed else nullcontext():
+                        for anchor in anchors:
+                            full = enumerate_matches(rule, store, anchor)
+                            for k in (1, 2, 3):
+                                got = enumerate_matches(rule, store, anchor, limit=k)
+                                assert got == full[:k], (seed, rule.name, anchor, relaxed, k)
+                                longer += len(full) > k
+        assert longer >= 100  # enough cases where the limit drops matches
+
+    def test_limit_below_one_is_an_error(self, relabel_program):
+        (r,) = relabel_program.rules
+        with pytest.raises(ChrcpError):
+            enumerate_matches(r, labeled([]), limit=0)
+
+    def test_contested_split_validates_one_match(self, monkeypatch):
+        """On the contested rule every a could go to either comprehension
+        (2^12 matches); the least match puts them all in the second, and
+        the bound cuts every other branch before validation."""
+        validated = []
+        real = match.matches_exactly
+
+        def spy(patterns, store):
+            validated.append(1)
+            return real(patterns, store)
+
+        monkeypatch.setattr(match, "matches_exactly", spy)
+        pw = annotate(parse_program("split @ go, {a(X)}#{X in Xs}, {a(Y)}#{Y in Ys} <=> l(Xs), r(Ys)."))
+        run = run_operational(pw, parse_store("go, " + ", ".join(f"a({i})" for i in range(12)) + "."))
+        assert [kind for kind, _ in run.trace].count("act-simpa-1") == 1
+        assert correspondence(run.state) == (atom("l([])"), atom(f"r({list(range(12))})"))
+        assert len(validated) <= 2 * 12
 
 
 class TestOracleEquivalence:
