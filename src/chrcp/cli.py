@@ -256,8 +256,6 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except RecursionError:
-        error = f"nesting exceeds the interpreter's recursion limit ({sys.getrecursionlimit()})"
     except ChrcpError as exc:
         error = str(exc)
     print(_bad(error), file=sys.stderr)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 
 class ChrcpError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,3 +41,15 @@ class ParseError(ChrcpError):
         self.col = col
         self.path = path
         super().__init__(f"{path}:{line}:{col}: {message}")
+
+
+@contextmanager
+def recursion_guard():
+    """Turn a `RecursionError` raised in the block, e.g. by comparing terms
+    that a run nested ever deeper, into a `ChrcpError` that names the
+    interpreter's recursion limit."""
+    try:
+        yield
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ChrcpError(f"nesting exceeds the interpreter's recursion limit ({limit})") from None

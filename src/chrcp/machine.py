@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
-from .errors import ChrcpError
+from .errors import ChrcpError, recursion_guard
 from .match import LabeledStore, MatchResult, enumerate_matches
 from .monotone import Absorber, absorbers, predicate_report, verdict
 from .rewrite import MAX_STEPS, unfold_body
@@ -122,7 +122,7 @@ class PropGoal:
     atom: Atom
     label: int
     occurrence: int
-    history: frozenset  # of (theta key, labels) pairs
+    history: frozenset  # `MatchResult.instance_key`s of the instances fired
 
 
 Goal = Union[InitGoal, LazyGoal, EagerGoal, ActGoal, PropGoal]
@@ -161,31 +161,26 @@ STEP_KINDS = (
 # Transitions
 
 
-def _instance_key(ar: AnnotatedRule, match: MatchResult) -> tuple:
-    """(theta restricted to head variables, matched label set)."""
-    theta = match.theta.restrict(ar.rule.head_vars())
-    return (theta.key(), tuple(sorted(match.all_ids())))
-
-
-def _anchored_matches(
-    ar: AnnotatedRule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore, limit: int | None
-) -> list[MatchResult]:
-    """The `limit` least matches of `ar` with the active constraint in head
-    `pos`. A head of another predicate or arity cannot take it, so that
-    costs no search."""
+def _least_match(
+    ar: AnnotatedRule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore, history: frozenset = frozenset()
+) -> MatchResult | None:
+    """The least match of `ar` with the active constraint in head `pos`
+    whose instance key is not in `history`. A head of another predicate or
+    arity cannot take the constraint, so that costs no search."""
     head = ar.rule.heads[pos]
     head = head if isinstance(head, Atom) else head.atom
     if head.pred != goal.atom.pred or head.arity != goal.atom.arity:
-        return []
-    return enumerate_matches(ar.rule, store, anchor=(pos, goal.label), limit=limit)
+        return None
+    matches = enumerate_matches(ar.rule, store, anchor=(pos, goal.label), limit=1, exclude=history)
+    return matches[0] if matches else None
 
 
 def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, str] | None:
     """One transition of the leading goal; None when the stack is empty. A
     firing takes the least match (`MatchResult.sort_key` order) that a
-    propagation goal's history does not already hold. The search is bounded
-    by that need (`enumerate_matches`' `limit`): one match for a
-    simplification, `len(history) + 1` for a propagation."""
+    propagation goal's history does not already hold. The search asks for
+    that one match (`enumerate_matches`' `limit=1`) and skips the history's
+    instances (`exclude`) before it validates anything."""
     if not state.goals:
         return None
     goal, rest = state.goals[0], state.goals[1:]
@@ -230,10 +225,9 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
                 ),
                 "act-prop",
             )
-        matches = _anchored_matches(ar, pos, goal, store, 1)
+        m = _least_match(ar, pos, goal, store)
         n_prop = len(ar.rule.propagated)
-        if matches:
-            m = matches[0]
+        if m is not None:
             store2 = store.remove(i for b in m.blocks[n_prop:] for i in b)
             init = InitGoal(m.theta.apply(ar.rule.body), (ar.rule, m))
             if pos >= n_prop:
@@ -252,19 +246,10 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         if hit is None:
             raise ChrcpError("prop goal on a vanished occurrence")
         ar, pos = hit
-        # The history holds len(history) instance keys, so the least
-        # len(history) + 1 matches hold a new one unless two of them share a
-        # key (equal atoms swapped between heads); then the search runs
-        # again in full.
-        limit = len(goal.history) + 1
-        matches = _anchored_matches(ar, pos, goal, store, limit)
-        m = next((m for m in matches if _instance_key(ar, m) not in goal.history), None)
-        if m is None and len(matches) == limit:
-            matches = _anchored_matches(ar, pos, goal, store, None)
-            m = next((m for m in matches if _instance_key(ar, m) not in goal.history), None)
+        m = _least_match(ar, pos, goal, store, goal.history)
         if m is not None:
             body = m.theta.apply(ar.rule.body)
-            new_hist = goal.history | {_instance_key(ar, m)}
+            new_hist = goal.history | {m.instance_key(ar.rule.head_vars())}
             goals = (
                 InitGoal(body, (ar.rule, m)),
                 PropGoal(goal.atom, goal.label, goal.occurrence, new_hist),
@@ -354,24 +339,26 @@ def run_operational(
     deterministic: every firing takes the least match.
 
     Each transition is checked against the state before it (`validate_state`),
-    and a problem raises `ChrcpError`. The run stops early after `max_steps`
+    and a problem raises `ChrcpError`, as does nesting past the interpreter's
+    recursion limit. The run stops early after `max_steps`
     steps, or once the store holds more than `max_store` constraints (no cap
     when None); `truncated` then names the limit it hit.
     """
     state = initial_state(init)
     trace: list[tuple[str, str]] = []
-    for index in range(max_steps):
-        out = step(pw, state)
-        if out is None:
-            return OpRun(state, trace, None)
-        nxt, kind = out
-        problems = validate_state(pw, state, nxt)
-        if problems:
-            raise ChrcpError(f"invalid state after {kind}: {problems}")
-        if observer is not None:
-            observer(StepEvent(index, kind, state, nxt))
-        trace.append((kind, state_digest(nxt)))
-        state = nxt
-        if max_store is not None and len(state.store) > max_store:
-            return OpRun(state, trace, f"store cap {max_store}")
+    with recursion_guard():
+        for index in range(max_steps):
+            out = step(pw, state)
+            if out is None:
+                return OpRun(state, trace, None)
+            nxt, kind = out
+            problems = validate_state(pw, state, nxt)
+            if problems:
+                raise ChrcpError(f"invalid state after {kind}: {problems}")
+            if observer is not None:
+                observer(StepEvent(index, kind, state, nxt))
+            trace.append((kind, state_digest(nxt)))
+            state = nxt
+            if max_store is not None and len(state.store) > max_store:
+                return OpRun(state, trace, f"store cap {max_store}")
     return OpRun(state, trace, None if state.terminal else f"step budget {max_steps}")

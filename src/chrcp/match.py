@@ -25,7 +25,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import ChrcpError, NonGroundError, RebindError, TermTypeError
 from .rules import Atom, Comprehension, Pattern, Rule, normalize_rule
@@ -443,6 +443,12 @@ class MatchResult:
     def sort_key(self):
         return (self.blocks, self.theta.key())
 
+    def instance_key(self, head_vars: frozenset[str]) -> tuple:
+        """The rule instance this match fires: the substitution restricted
+        to the rule's `head_vars` and the matched labels. A propagation goal
+        keeps the keys of the instances it fired as its history."""
+        return (self.theta.restrict(head_vars).key(), self.all_ids())
+
 
 def enumerate_matches(
     rule: Rule,
@@ -451,10 +457,13 @@ def enumerate_matches(
     *,
     check_maximality: bool | None = None,
     limit: int | None = None,
+    exclude: Collection[tuple] = frozenset(),
 ) -> list[MatchResult]:
     """The maximal matches of a rule against a labeled store, least first in
     `MatchResult.sort_key` order (block ids per head, then substitution):
-    all of them, or with `limit` only the `limit` least.
+    all of them, or with `limit` only the `limit` least. A match whose
+    `instance_key` is in `exclude` is dropped before it is validated, so it
+    neither counts toward `limit` nor bounds the search.
 
     `anchor`, when given, is (head pattern index, store label): the item
     must land in that pattern's block. Atom heads take their candidates,
@@ -472,7 +481,7 @@ def enumerate_matches(
     maximal = ambient_maximality() if check_maximality is None else check_maximality
     rule = normalize_rule(rule)
     heads = rule.heads
-    solvable = rule.rule_vars()
+    solvable, head_vars = rule.rule_vars(), rule.head_vars()
     if anchor is not None and anchor[1] not in store:
         return []
 
@@ -526,6 +535,9 @@ def enumerate_matches(
         if solved is None:
             return
         theta = Substitution({k: v for k, v in solved.items() if k in solvable})
+        res = MatchResult(theta, blocks)
+        if exclude and res.instance_key(head_vars) in exclude:
+            return
         # Declarative validation of every block, then maximality.
         matched_pats = []
         for hi, p in enumerate(heads):
@@ -542,7 +554,6 @@ def enumerate_matches(
             # only deliberate stay choices need the residual test.
             if not residual_non_match(matched_pats, [atoms_by_id[i] for i in risky_stays]):
                 return
-        res = MatchResult(theta, blocks)
         key = res.sort_key()
         if key not in seen:
             seen.add(key)

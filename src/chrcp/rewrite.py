@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NonGroundError
+from .errors import NonGroundError, recursion_guard
 from .match import LabeledStore, MatchResult, comp_element_instance, enumerate_matches
 from .rules import (
     Atom,
@@ -120,7 +120,8 @@ def run_abstract(program: Program, store: Store, max_steps: int = MAX_STEPS, see
     The successor choice at each step is deterministic for a fixed seed.
     Steps that leave the store unchanged (possible when every comprehension
     block is empty) are skipped: the relation admits them, but a runner
-    looping on them would never produce anything new.
+    looping on them would never produce anything new. Nesting past the
+    interpreter's recursion limit raises `ChrcpError`.
     """
     program = normalize_program(program)
     rng = random.Random(seed)
@@ -130,12 +131,13 @@ def run_abstract(program: Program, store: Store, max_steps: int = MAX_STEPS, see
     def changing(st: Store):
         return [(s, succ) for s, succ in abstract_steps(program, st) if succ != st]
 
-    for _ in range(max_steps):
-        options = changing(current)
-        if not options:
-            return AbstractRun(current, steps, None)
-        step, successor = options[rng.randrange(len(options))] if len(options) > 1 else options[0]
-        steps.append(step)
-        current = successor
-    truncated = f"step budget {max_steps}" if changing(current) else None
+    with recursion_guard():
+        for _ in range(max_steps):
+            options = changing(current)
+            if not options:
+                return AbstractRun(current, steps, None)
+            step, successor = options[rng.randrange(len(options))] if len(options) > 1 else options[0]
+            steps.append(step)
+            current = successor
+        truncated = f"step budget {max_steps}" if changing(current) else None
     return AbstractRun(current, steps, truncated)

@@ -118,6 +118,15 @@ class Rule:
     guard: Guard
     body: tuple[Pattern, ...]
     normalized: bool = field(default=False, compare=False)
+    # Every match search reads these, so they are computed once per rule.
+    _head_vars: frozenset = field(init=False, compare=False, repr=False)
+    _rule_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        head = patterns_free_vars(self.heads)
+        rule = head | guard_vars(self.guard) | frozenset(guard_bind_vars(self.guard))
+        object.__setattr__(self, "_head_vars", head)
+        object.__setattr__(self, "_rule_vars", rule | patterns_free_vars(self.body))
 
     @property
     def heads(self) -> tuple[Pattern, ...]:
@@ -129,13 +138,11 @@ class Rule:
 
     def head_vars(self) -> frozenset[str]:
         """Free variables of the heads, comprehension domains included."""
-        return patterns_free_vars(self.heads)
+        return self._head_vars
 
     def rule_vars(self) -> frozenset[str]:
-        out = self.head_vars() | guard_vars(self.guard) | frozenset(
-            guard_bind_vars(self.guard)
-        )
-        return out | patterns_free_vars(self.body)
+        """Free variables of the heads, guard and body, and the guard's bound ones."""
+        return self._rule_vars
 
 
 @dataclass(frozen=True)

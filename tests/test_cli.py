@@ -9,7 +9,10 @@ import pytest
 import chrcp
 from chrcp.bundled import PROGRAMS, STORES, corpus_path
 from chrcp.cli import main
-from chrcp.parse import load_program, load_store, pretty_store
+from chrcp.errors import ChrcpError
+from chrcp.machine import annotate, run_operational
+from chrcp.parse import load_program, load_store, parse_program, parse_store, pretty_store
+from chrcp.rewrite import run_abstract, store_of
 from chrcp.soundness import check_soundness
 
 
@@ -103,6 +106,20 @@ class TestRun:
         code, _, err = run_cli(capsys, *command, str(f), "--store", str(s))
         assert code == 1
         assert "recursion limit" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("engine", ["op", "abs", "check"])
+    def test_term_nesting_per_step_library_error(self, engine):
+        # The same runs through the library end in a ChrcpError, not in a
+        # bare RecursionError.
+        program = parse_program("r @ p(X) <=> p((X, 0)).")
+        init = parse_store("p(0).")
+        runs = {
+            "op": lambda: run_operational(annotate(program), init),
+            "abs": lambda: run_abstract(program, store_of(init)),
+            "check": lambda: check_soundness(program, init),
+        }
+        with pytest.raises(ChrcpError, match=r"recursion limit \(\d+\)"):
+            runs[engine]()
 
     def test_deep_match_search_completes(self, capsys, tmp_path):
         # Every a is contested by the two comprehensions; the search keeps

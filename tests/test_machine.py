@@ -161,11 +161,10 @@ class TestStepDispatch:
         store = LabeledStore()
         store, n = store.add(Atom("p", (Int(1),)))
         ar, _ = pw.lookup(1)
-        from chrcp.machine import _instance_key
         from chrcp.match import enumerate_matches
 
         (m,) = enumerate_matches(ar.rule, store, anchor=(0, n))
-        hist = frozenset({_instance_key(ar, m)})
+        hist = frozenset({m.instance_key(ar.rule.head_vars())})
         s = ExecutionState((PropGoal(Atom("p", (Int(1),)), n, 1, hist),), store)
         state, kind = step(pw, s)
         assert kind == "prop-sat"
@@ -345,27 +344,32 @@ class TestSaturation:
         assert len(oracle_prop_instances(rule, p_items)) == 1
         assert self.fires(run) == 2
 
-    def test_shared_instance_key_searches_again(self, monkeypatch):
+    def test_shared_instance_key_excluded_in_one_search(self, monkeypatch):
         """Two matches of one anchored search share an instance key when the
-        other heads swap equal atoms. Then the least len(history) + 1 matches
-        can all be in the history, and the goal searches again in full. (Two
-        heads cannot do this: the anchor then fixes the other label, so
-        `pair_prop` never re-runs.)"""
+        other heads swap equal atoms. Each propagation step still makes one
+        search, for one match past the goal's history, and fires what the
+        least new match of an unbounded search would fire."""
         pw = annotate(parse_program("t @ p(X), p(Y), p(Z) ==> q(X, Y, Z)."))
         init = parse_store("p(1), p(1), p(1), p(1).")
         real = machine.enumerate_matches
-        limits = []
+        searches, histories = [], []
 
-        def spy(rule, store, anchor=None, *, limit=None, **kwargs):
-            limits.append(limit)
-            return real(rule, store, anchor, limit=limit, **kwargs)
+        def spy(rule, store, anchor=None, *, limit=None, exclude=frozenset(), **kwargs):
+            searches.append((limit, exclude))
+            return real(rule, store, anchor, limit=limit, exclude=exclude, **kwargs)
 
-        def unbounded(rule, store, anchor=None, *, limit=None, **kwargs):
-            return real(rule, store, anchor, **kwargs)
+        def unbounded(rule, store, anchor=None, *, limit=None, exclude=frozenset(), **kwargs):
+            keys = rule.head_vars()
+            return [m for m in real(rule, store, anchor, **kwargs) if m.instance_key(keys) not in exclude]
+
+        def prop_history(ev):
+            goal = ev.before.goals[0]
+            if isinstance(goal, PropGoal) and goal.atom.pred == "p":  # a q takes no search
+                histories.append(goal.history)
 
         monkeypatch.setattr(machine, "enumerate_matches", spy)
-        run = run_operational(pw, init)
-        assert None in limits
+        run = run_operational(pw, init, observer=prop_history)
+        assert searches == [(1, history) for history in histories]
         assert self.fires(run) == 12
         monkeypatch.setattr(machine, "enumerate_matches", unbounded)
         assert run_operational(pw, init).trace == run.trace

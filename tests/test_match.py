@@ -1,8 +1,9 @@
+import random
 from contextlib import nullcontext
 
 import pytest
 
-from chrcp import match
+from chrcp import corpus_program, match
 from chrcp.errors import ChrcpError
 from chrcp.fuzz import generate_random
 from chrcp.machine import annotate, run_operational
@@ -14,7 +15,7 @@ from chrcp.match import (
     subsumes,
 )
 from chrcp.parse import parse_program, parse_store
-from chrcp.rules import Atom, Comprehension
+from chrcp.rules import Atom, Comprehension, normalize_rule
 from chrcp.soundness import ABSTRACT, check_soundness, correspondence
 from chrcp.terms import GTrue, Int, Rel, Substitution, Sym, Var, mset
 
@@ -171,25 +172,59 @@ class TestEnumerate:
         assert list(runs[0]) == sorted(runs[0])
 
 
+@pytest.fixture(scope="module")
+def random_searches():
+    """Every rule of `generate_random` seeds 0..199, with no anchor and
+    every anchor, maximality on and off: (case, rule, store, anchor,
+    relaxed, full enumeration)."""
+    searches = []
+    for seed in range(200):
+        program, init = generate_random(seed)
+        store = labeled(enumerate(init, 1))
+        for rule in program.rules:
+            anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in store.entries]
+            for relaxed in (False, True):
+                with maximality_disabled() if relaxed else nullcontext():
+                    for anchor in anchors:
+                        full = enumerate_matches(rule, store, anchor)
+                        searches.append(((seed, rule.name, anchor, relaxed), rule, store, anchor, relaxed, full))
+    return searches
+
+
 class TestLimit:
-    def test_limit_returns_the_least_matches(self):
+    def test_limit_returns_the_least_matches(self, random_searches):
         """`limit=k` is the first k of full enumeration, with and without an
         anchor and with maximality on or off."""
         longer = 0
-        for seed in range(200):
-            program, init = generate_random(seed)
-            store = labeled(enumerate(init, 1))
-            for rule in program.rules:
-                anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in store.entries]
-                for relaxed in (False, True):
-                    with maximality_disabled() if relaxed else nullcontext():
-                        for anchor in anchors:
-                            full = enumerate_matches(rule, store, anchor)
-                            for k in (1, 2, 3):
-                                got = enumerate_matches(rule, store, anchor, limit=k)
-                                assert got == full[:k], (seed, rule.name, anchor, relaxed, k)
-                                longer += len(full) > k
+        for case, rule, store, anchor, relaxed, full in random_searches:
+            with maximality_disabled() if relaxed else nullcontext():
+                for k in (1, 2, 3):
+                    got = enumerate_matches(rule, store, anchor, limit=k)
+                    assert got == full[:k], case + (k,)
+                    longer += len(full) > k
         assert longer >= 100  # enough cases where the limit drops matches
+
+    def test_exclude_drops_keys_before_the_limit(self, random_searches):
+        """`limit=k, exclude=E` is the first k of full enumeration without
+        the matches whose instance key is in E. E is a prefix of the full
+        key list (the first 1 to 4 keys, all but the last, all) or one
+        random subset of it. An empty E is the test above."""
+        rng = random.Random(0)
+        changed = 0
+        for case, rule, store, anchor, relaxed, full in random_searches:
+            head_vars = normalize_rule(rule).head_vars()
+            keys = [m.instance_key(head_vars) for m in full]
+            lengths = {1, 2, 3, 4, len(keys) - 1, len(keys)}
+            subsets = [frozenset(keys[:i]) for i in sorted(lengths) if i >= 0]
+            subsets.append(frozenset(key for key in keys if rng.random() < 0.5))
+            with maximality_disabled() if relaxed else nullcontext():
+                for exclude in dict.fromkeys(e for e in subsets if e):
+                    kept = [m for m, key in zip(full, keys) if key not in exclude]
+                    for k in (1, 2, 3):
+                        got = enumerate_matches(rule, store, anchor, limit=k, exclude=exclude)
+                        assert got == kept[:k], case + (k, sorted(exclude))
+                        changed += kept[:k] != full[:k]
+        assert changed >= 100  # enough cases where the exclusion moves the result
 
     def test_limit_below_one_is_an_error(self, relabel_program):
         (r,) = relabel_program.rules
@@ -213,6 +248,23 @@ class TestLimit:
         assert [kind for kind, _ in run.trace].count("act-simpa-1") == 1
         assert correspondence(run.state) == (atom("l([])"), atom(f"r({list(range(12))})"))
         assert len(validated) <= 2 * 12
+
+    def test_pair_prop_validates_one_match_per_firing(self, monkeypatch):
+        """A propagation goal's search skips its history before validation,
+        so `pair_prop` over 16 distinct p's validates only the 240 matches
+        it fires, two heads each."""
+        validated = []
+        real = match.matches_exactly
+
+        def spy(patterns, store):
+            validated.append(1)
+            return real(patterns, store)
+
+        monkeypatch.setattr(match, "matches_exactly", spy)
+        pw = annotate(corpus_program("pair_prop"))
+        run = run_operational(pw, parse_store(", ".join(f"p({i})" for i in range(16)) + "."))
+        assert [kind for kind, _ in run.trace].count("prop-prop") == 240
+        assert len(validated) == 480
 
 
 class TestOracleEquivalence:
