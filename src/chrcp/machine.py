@@ -50,7 +50,7 @@ class OccurrenceProgram:
     source: Program
     rules: tuple[AnnotatedRule, ...]
     table: dict  # occurrence index -> (AnnotatedRule, head position)
-    absorbers: tuple[Absorber, ...]  # comprehension heads, renamed apart
+    absorbers: tuple[Absorber, ...]  # comprehension heads with their rule guards
     monotone_preds: frozenset  # (pred, arity) pairs whose generic atom is monotone
 
     def lookup(self, i: int):

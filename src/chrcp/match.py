@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Collection, Iterable, Mapping
 
-from .errors import ChrcpError, NonGroundError, RebindError, TermTypeError
+from .errors import ChrcpError, NonGroundError, TermTypeError
 from .rules import Atom, Comprehension, Pattern, Rule, normalize_rule
 from .terms import (
     Bind,
@@ -41,6 +41,7 @@ from .terms import (
     Term,
     TupleTerm,
     Var,
+    _bind_into,
     bind_binders,
     conjuncts,
     eval_guard_env,
@@ -253,13 +254,14 @@ def _solvable_pattern(t: Term, env: Mapping[str, Term], solvable: frozenset[str]
 
 
 def _solve_eq(pattern: Term, value: Term, env: dict[str, Term], solvable: frozenset[str]) -> dict[str, Term] | None:
-    """Extend env so pattern equals the ground value; None on clash."""
-    pattern = norm_loose(subst_term(env, pattern))
+    """Extend env so pattern equals the ground value; None on clash or on a
+    type error in instantiating the pattern."""
+    try:
+        pattern = norm_loose(subst_term(env, pattern))
+    except TermTypeError:
+        return None
     if is_ground(pattern):
-        try:
-            return env if normalize(pattern) == value else None
-        except TermTypeError:
-            return None
+        return env if pattern == value else None
     if isinstance(pattern, Var):
         if pattern.name not in solvable:
             return None
@@ -300,12 +302,14 @@ def _solve_mset(pattern: Term, value: Term, env: dict[str, Term], solvable: froz
     remaining = list(value.items)
     var_elems: list[Term] = []
     for e in elems:
-        e2 = norm_loose(subst_term(env, e))
+        try:
+            e2 = norm_loose(subst_term(env, e))
+        except TermTypeError:
+            return None
         if is_ground(e2):
-            ge = normalize(e2)
-            if ge not in remaining:
+            if e2 not in remaining:
                 return None
-            remaining.remove(ge)
+            remaining.remove(e2)
         else:
             var_elems.append(e2)
     remaining.sort(key=term_key)
@@ -337,53 +341,42 @@ _DEFER = object()
 
 
 def _try_conjunct(c: Guard, env: dict[str, Term], solvable: frozenset[str]):
-    """Returns (status, env): status in {True, False, _DEFER}."""
-    if isinstance(c, GTrue):
-        return True, env
-    if isinstance(c, Rel):
-        lhs = norm_loose(subst_term(env, c.lhs))
-        rhs = norm_loose(subst_term(env, c.rhs))
-        lg, rg = is_ground(lhs), is_ground(rhs)
-        if lg and rg:
-            try:
-                return rel_holds(c.op, normalize(lhs), normalize(rhs)), env
-            except TermTypeError:
-                return False, env
-        if c.op == "=":
-            if lg and _solvable_pattern(rhs, env, solvable):
-                nxt = _solve_eq(rhs, normalize(lhs), env, solvable)
-                return (False, env) if nxt is None else (True, nxt)
-            if rg and _solvable_pattern(lhs, env, solvable):
-                nxt = _solve_eq(lhs, normalize(rhs), env, solvable)
-                return (False, env) if nxt is None else (True, nxt)
-        return _DEFER, env
-    if isinstance(c, Bind):
-        value = norm_loose(subst_term(env, c.value))
-        if not is_ground(value):
+    """Returns (status, env): status in {True, False, _DEFER}. A type error
+    in instantiating or evaluating the conjunct fails it, since it would
+    fail every instance."""
+    try:
+        if isinstance(c, GTrue):
+            return True, env
+        if isinstance(c, Rel):
+            lhs = norm_loose(subst_term(env, c.lhs))
+            rhs = norm_loose(subst_term(env, c.rhs))
+            lg, rg = is_ground(lhs), is_ground(rhs)
+            if lg and rg:
+                return rel_holds(c.op, lhs, rhs), env
+            if c.op == "=":
+                if lg and _solvable_pattern(rhs, env, solvable):
+                    nxt = _solve_eq(rhs, lhs, env, solvable)
+                    return (False, env) if nxt is None else (True, nxt)
+                if rg and _solvable_pattern(lhs, env, solvable):
+                    nxt = _solve_eq(lhs, rhs, env, solvable)
+                    return (False, env) if nxt is None else (True, nxt)
             return _DEFER, env
-        env2 = dict(env)
-        value = normalize(value)
-        if len(c.vars) == 1:
-            pairs = [(c.vars[0], value)]
-        else:
-            if not isinstance(value, TupleTerm) or len(value.items) != len(c.vars):
-                return False, env
-            pairs = list(zip(c.vars, value.items))
-        for name, v in pairs:
-            if name in env2:
-                raise RebindError(f"variable {name} is already bound")
-            env2[name] = v
-        return True, env2
-    if isinstance(c, ConjComp):
-        dom = norm_loose(subst_term(env, c.domain))
-        body_open = guard_vars(c.body) - frozenset(c.binders) - set(env)
-        if not is_ground(dom) or body_open:
-            return _DEFER, env
-        try:
+        if isinstance(c, Bind):
+            value = norm_loose(subst_term(env, c.value))
+            if not is_ground(value):
+                return _DEFER, env
+            env2 = dict(env)
+            _bind_into(env2, c.vars, value)  # a rebind raises RebindError
+            return True, env2
+        if isinstance(c, ConjComp):
+            dom = norm_loose(subst_term(env, c.domain))
+            body_open = guard_vars(c.body) - frozenset(c.binders) - set(env)
+            if not is_ground(dom) or body_open:
+                return _DEFER, env
             ok, _ = eval_guard_env(c, dict(env))
-        except TermTypeError:
-            return False, env
-        return ok, env
+            return ok, env
+    except TermTypeError:
+        return False, env
     raise TypeError(f"not a guard conjunct: {c!r}")
 
 
@@ -433,9 +426,6 @@ class MatchResult:
 
     theta: Substitution
     blocks: tuple[tuple[int, ...], ...]
-
-    def block(self, idx: int) -> tuple[int, ...]:
-        return self.blocks[idx]
 
     def all_ids(self) -> tuple[int, ...]:
         return tuple(sorted(i for b in self.blocks for i in b))

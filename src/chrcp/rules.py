@@ -149,12 +149,6 @@ class Rule:
 class Program:
     rules: tuple[Rule, ...]
 
-    def rule(self, name: str) -> Rule | None:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Head normalization

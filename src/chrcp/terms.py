@@ -96,8 +96,6 @@ class PrimApp(Term):
 
 
 INFTY = Inf()
-TRUE = Bool(True)
-FALSE = Bool(False)
 
 
 def mset(*items: Term) -> MSet:
@@ -303,11 +301,6 @@ class Substitution:
         keep = set(names)
         return Substitution({k: v for k, v in self._m.items() if k in keep})
 
-    def extended(self, extra: Mapping[str, Term]) -> "Substitution":
-        m = dict(self._m)
-        m.update(extra)
-        return Substitution(m)
-
     def key(self) -> tuple:
         return tuple((k, term_key(v)) for k, v in self._m.items())
 
@@ -416,50 +409,6 @@ def subst_guard(m: Mapping[str, Term], g: Guard) -> Guard:
             binders, ren = rename_binders(binders, set(clash))
             body = subst_guard(ren, body)
         return ConjComp(binders, dom, subst_guard(m2, body))
-    raise TypeError(f"not a guard: {g!r}")
-
-
-def rename_term(r: Mapping[str, str], t: Term) -> Term:
-    """Uniform variable renaming; binding occurrences are renamed too."""
-    if isinstance(t, Var):
-        return Var(r.get(t.name, t.name))
-    if isinstance(t, (Int, Inf, Bool, Sym)):
-        return t
-    if isinstance(t, TupleTerm):
-        return TupleTerm(tuple(rename_term(r, i) for i in t.items))
-    if isinstance(t, MSet):
-        return MSet(tuple(rename_term(r, i) for i in t.items))
-    if isinstance(t, MSetUnion):
-        return MSetUnion(rename_term(r, t.left), rename_term(r, t.right))
-    if isinstance(t, TermComp):
-        return TermComp(
-            rename_term(r, t.template),
-            rename_guard(r, t.guard),
-            tuple(r.get(b, b) for b in t.binders),
-            rename_term(r, t.domain),
-        )
-    if isinstance(t, Reduce):
-        return Reduce(t.fn, rename_term(r, t.unit), rename_term(r, t.domain))
-    if isinstance(t, PrimApp):
-        return PrimApp(t.op, tuple(rename_term(r, a) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def rename_guard(r: Mapping[str, str], g: Guard) -> Guard:
-    if isinstance(g, GTrue):
-        return g
-    if isinstance(g, Rel):
-        return Rel(g.op, rename_term(r, g.lhs), rename_term(r, g.rhs))
-    if isinstance(g, Bind):
-        return Bind(tuple(r.get(v, v) for v in g.vars), rename_term(r, g.value))
-    if isinstance(g, Conj):
-        return Conj(tuple(rename_guard(r, it) for it in g.items))
-    if isinstance(g, ConjComp):
-        return ConjComp(
-            tuple(r.get(b, b) for b in g.binders),
-            rename_term(r, g.domain),
-            rename_guard(r, g.body),
-        )
     raise TypeError(f"not a guard: {g!r}")
 
 

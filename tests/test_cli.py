@@ -132,6 +132,21 @@ class TestRun:
         assert code == 0
         assert out.strip() == "l([]), r([" + ", ".join(map(str, range(1200))) + "])."
 
+    @pytest.mark.parametrize("engine", ["op", "abs"])
+    def test_ill_typed_guard_fails_its_match(self, capsys, tmp_path, engine, monkeypatch):
+        # `a + 1` is ill-typed: p(a) fails the guard, p(5) still fires.
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        f = tmp_path / "typed.chrcp"
+        f.write_text("r @ p(X) <=> X + 1 > 2 | q(X).\n")
+        s = tmp_path / "s.store"
+        s.write_text("p(a), p(5).\n")
+        code, out, _ = run_cli(capsys, "run", str(f), "--store", str(s), "--engine", engine)
+        assert code == 0
+        assert out.strip() == "p(a), q(5)."
+        code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
+        assert code == 0
+        assert out.strip().endswith("OK")
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"
         f.write_text("r @ p(X \\ q(X)\n")

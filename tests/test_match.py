@@ -4,7 +4,7 @@ from contextlib import nullcontext
 import pytest
 
 from chrcp import corpus_program, match
-from chrcp.errors import ChrcpError
+from chrcp.errors import ChrcpError, RebindError
 from chrcp.fuzz import generate_random
 from chrcp.machine import annotate, run_operational
 from chrcp.match import (
@@ -15,9 +15,9 @@ from chrcp.match import (
     subsumes,
 )
 from chrcp.parse import parse_program, parse_store
-from chrcp.rules import Atom, Comprehension, normalize_rule
+from chrcp.rules import Atom, Comprehension, Rule, normalize_rule
 from chrcp.soundness import ABSTRACT, check_soundness, correspondence
-from chrcp.terms import GTrue, Int, Rel, Substitution, Sym, Var, mset
+from chrcp.terms import Bind, GTrue, Int, Rel, Substitution, Sym, Var, mset
 
 from oracles import labeled, oracle_match_keys, production_match_keys
 
@@ -130,7 +130,7 @@ class TestEnumerate:
         items = list(enumerate(parse_store("a(1), a(2), b(9).")))
         anchored = enumerate_matches(r, labeled(items), anchor=(0, 1))
         assert len(anchored) == 1
-        assert 1 in anchored[0].block(0)
+        assert 1 in anchored[0].blocks[0]
         # anchoring at an id outside any possible block yields nothing
         assert enumerate_matches(r, labeled(items), anchor=(0, 2)) == []
 
@@ -278,6 +278,11 @@ class TestOracleEquivalence:
             # absorption is undecidable element-by-element, so maximality has
             # to be settled by the final residual pass
             ("r @ t(N) \\ {p(D) | D >= W}#{D in Ds} <=> W = N + 1 | q(Ds).", "t(1), p(1), p(2), p(3)."),
+            # ill-typed arithmetic fails the conjunct, not the search: only
+            # p(5) fits, in a guard test, a guard binding and a comprehension
+            ("r @ p(X) <=> X + 1 > 2 | q(X).", "p(a), p(5)."),
+            ("r @ p(X) <=> Y = X + 1 | q(Y).", "p(a), p(5)."),
+            ("r @ {p(X) | X + 1 > 2}#{X in Xs} <=> q(Xs).", "p(a), p(5)."),
         ]
         for ptext, stext in cases:
             (rule,) = parse_program(ptext, check=False).rules
@@ -305,6 +310,21 @@ class TestOracleEquivalence:
                 ), f"seed {seed}, rule {rule.name}"
                 checked += 1
         assert checked >= 150
+
+
+class TestGuardBind:
+    def test_wrong_tuple_shape_fails_the_conjunct(self):
+        (rule,) = parse_program("r @ p(X) <=> (A, B) = X | q(A).").rules
+        items = list(enumerate(parse_store("p((1, 2)), p(3), p((4, 5, 6)).")))
+        assert production_match_keys(rule, items) == oracle_match_keys(rule, items)
+        (m,) = enumerate_matches(rule, labeled(items))
+        assert m.blocks == ((0,),) and m.theta["A"] == Int(1)
+
+    def test_rebind_raises(self):
+        # The parser turns such a Bind into an equality; a hand-built rule keeps it.
+        rule = Rule("r", (), (Atom("p", (Var("X"),)),), Bind(("X",), Int(1)), ())
+        with pytest.raises(RebindError):
+            enumerate_matches(rule, labeled(enumerate(parse_store("p(1)."))))
 
 
 class TestNestedConjunctiveComprehension:

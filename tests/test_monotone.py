@@ -1,6 +1,11 @@
+import hashlib
 import itertools
 import random
 
+import pytest
+
+from chrcp.bundled import PROGRAMS, STORES, corpus_program, corpus_store
+from chrcp.errors import ChrcpError
 from chrcp.fuzz import MAX_VALUE, generate_random
 from chrcp.machine import annotate
 from chrcp.match import subsumes
@@ -56,6 +61,31 @@ class TestUnifiability:
         )
         # the conjunct-wise approximation does not see the contradiction
         assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
+
+
+class TestHeadPrecondition:
+    """`unifiable` takes heads as `absorbers` gives them: distinct variable
+    arguments. Any other head is an error, not a verdict."""
+
+    def test_repeated_variable_raises(self):
+        head = comp("a", Var("Y"), Var("Y"))
+        with pytest.raises(ChrcpError, match="distinct variable arguments"):
+            unifiable(Atom("a", (Int(1), Int(2))), head, GUARD_TRUE)
+
+    def test_constant_argument_raises(self):
+        head = comp("a", Var("Y"), Int(3))
+        with pytest.raises(ChrcpError, match="distinct variable arguments"):
+            unifiable(Atom("a", (Var("X"), Int(4))), head, GUARD_TRUE)
+
+
+class TestEveryGuardCounts:
+    def test_ground_conjuncts_of_rule_and_pattern_guards_refute(self):
+        never = Rel(">", Int(1), Int(2))
+        assert not unifiable(Atom("a", (Int(1),)), comp("a", Var("Y")), never)
+        body = Comprehension(Atom("a", (Var("X"),)), never, ("X",), Var("Xs"))
+        assert not unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
+        # the rule guard sees the head's arguments as the pattern's
+        assert not unifiable(Atom("a", (Int(3),)), comp("a", Var("Y")), Rel("<", Var("Y"), Int(3)))
 
 
 class TestVerdicts:
@@ -184,3 +214,42 @@ class TestInstances:
                     assert is_monotone(program, inst), (seed, p, inst)
                     checked += 1
         assert checked > 100
+
+
+def verdict_lines():
+    """One line per monotonicity verdict: `residual_non_unifiable` on every
+    body pattern and initial atom, the `predicate_report`, and
+    `annotate(p).monotone` on every ground instance of each predicate with
+    values 0..MAX_VALUE; over generated seeds 0..999 and the corpus programs
+    (whose initial atoms are those of every bundled store)."""
+    bundled_atoms = tuple(a for s in STORES for a in corpus_store(s))
+    cases = [(f"seed {seed}",) + generate_random(seed) for seed in range(1000)]
+    cases += [(name, corpus_program(name), bundled_atoms) for name in PROGRAMS]
+    for name, program, init in cases:
+        patterns = [p for rule in program.rules for p in rule.body] + list(init)
+        for v in residual_non_unifiable(program, patterns).verdicts:
+            yield f"{name} verdict {v.pattern!r} {v.monotone} {v.witness_rule} {v.witness_head!r}"
+        report = predicate_report(program)
+        for (pred, arity), mono in sorted(report.items()):
+            yield f"{name} predicate {pred}/{arity} {mono}"
+        pw = annotate(program)
+        for pred, arity in sorted(report):
+            generic = Atom(pred, tuple(Var(f"X{i}") for i in range(arity)))
+            for inst in ground_instances(generic):
+                yield f"{name} instance {inst!r} {pw.monotone(inst)}"
+
+
+# (verdicts, SHA-256 over `verdict_lines`) recorded while the analysis still
+# unified patterns with renamed-apart heads: a simpler test must give the
+# same verdicts.
+RECORDED_VERDICTS = (34352, "941ea7c8deb49d07ca60d5a3bb00313a38624c73f13d910fc226ed2223b6b8d5")
+
+
+class TestRecordedVerdicts:
+    def test_verdicts_unchanged(self):
+        h = hashlib.sha256()
+        count = 0
+        for line in verdict_lines():
+            h.update(line.encode() + b"\n")
+            count += 1
+        assert (count, h.hexdigest()) == RECORDED_VERDICTS

@@ -26,7 +26,7 @@ from chrcp.soundness import (
     correspondence,
     trace_records,
 )
-from chrcp.terms import Int, MSet
+from chrcp.terms import Int, MSet, Substitution
 
 
 def state(goals, labeled=()):
@@ -108,7 +108,7 @@ class TestClassify:
         top = ev.after.goals[0]
         rule, m = top.cause
         (domain,) = [v for v, t in m.theta.items() if isinstance(t, MSet)]
-        short = m.theta.extended({domain: MSet(m.theta[domain].items[:-1])})
+        short = Substitution({**m.theta.mapping(), domain: MSet(m.theta[domain].items[:-1])})
         forged = dataclasses.replace(top, cause=(rule, dataclasses.replace(m, theta=short)))
         tampered = ExecutionState((forged,) + ev.after.goals[1:], ev.after.store)
         cls = classify_step(pw, ev.before, tampered)
