@@ -86,14 +86,14 @@ def cmd_run(args) -> int:
             )
         run = run_abstract(program, store_of(store), max_steps=args.max_steps, seed=args.seed)
         final = run.final
-        trace_out = [trace_record(i, "apply", rule=step.rule) for i, step in enumerate(run.steps)]
+        records = (trace_record(i, "apply", rule=step.rule) for i, step in enumerate(run.steps))
     else:
         pw = annotate(program)
         run = run_operational(pw, store, max_steps=args.max_steps)
         final = correspondence(run.state)
-        trace_out = [trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace)]
-    if args.trace:
-        _write_trace(args.trace, trace_out)
+        records = (trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace))
+    if args.trace:  # `records` is a generator: without --trace none is built
+        _write_trace(args.trace, list(records))
     print(pretty_store(final))
     if run.truncated:
         _note_truncated(run.truncated)

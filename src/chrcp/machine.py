@@ -18,38 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
+from . import match
 from .errors import ChrcpError, recursion_guard
 from .match import LabeledStore, MatchResult, enumerate_matches
 from .monotone import Absorber, absorbers, predicate_report, verdict
 from .rewrite import MAX_STEPS, unfold_body
-from .rules import (
-    Atom,
-    Pattern,
-    Program,
-    Rule,
-    normalize_rule,
-)
+from .rules import Atom, Pattern, Program, Rule, normalize_program
 
 
 # ---------------------------------------------------------------------------
 # Occurrence annotation
 
 
-@dataclass(frozen=True)
-class AnnotatedRule:
-    rule: Rule  # normalized
-    occurrences: tuple[int, ...]  # aligned with rule.heads
-
-    @property
-    def is_propagation(self) -> bool:
-        return self.rule.is_propagation
-
-
 @dataclass(frozen=True, eq=False)
 class OccurrenceProgram:
     source: Program
-    rules: tuple[AnnotatedRule, ...]
-    table: dict  # occurrence index -> (AnnotatedRule, head position)
+    table: dict  # occurrence index -> (normalized rule, head position)
     absorbers: tuple[Absorber, ...]  # comprehension heads with their rule guards
     monotone_preds: frozenset  # (pred, arity) pairs whose generic atom is monotone
 
@@ -69,22 +53,11 @@ class OccurrenceProgram:
 def annotate(program: Program) -> OccurrenceProgram:
     """Number every head pattern 1..N in textual order, and analyse the
     program's monotonicity once for every run of the machine on it."""
-    rules: list[AnnotatedRule] = []
-    table: dict = {}
-    i = 0
-    for r in program.rules:
-        nr = normalize_rule(r)
-        occ: list[int] = []
-        for pos in range(len(nr.heads)):
-            i += 1
-            occ.append(i)
-        ar = AnnotatedRule(nr, tuple(occ))
-        for pos, idx in enumerate(ar.occurrences):
-            table[idx] = (ar, pos)
-        rules.append(ar)
-    normalized = Program(tuple(ar.rule for ar in rules))
+    normalized = normalize_program(program)
+    occurrences = [(rule, pos) for rule in normalized.rules for pos in range(len(rule.heads))]
+    table = dict(enumerate(occurrences, 1))
     preds = frozenset(k for k, mono in predicate_report(normalized).items() if mono)
-    return OccurrenceProgram(program, tuple(rules), table, absorbers(normalized), preds)
+    return OccurrenceProgram(program, table, absorbers(normalized), preds)
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +135,23 @@ STEP_KINDS = (
 
 
 def _least_match(
-    ar: AnnotatedRule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore, history: frozenset = frozenset()
+    rule: Rule, pos: int, goal: ActGoal | PropGoal, store: LabeledStore, history: frozenset = frozenset()
 ) -> MatchResult | None:
-    """The least match of `ar` with the active constraint in head `pos`
-    whose instance key is not in `history`. A head of another predicate or
-    arity cannot take the constraint, so that costs no search."""
-    head = ar.rule.heads[pos]
+    """The least match of the normalized `rule` with the active constraint
+    in head `pos` whose instance key is not in `history`; a non-maximal one
+    too while `match.maximality_disabled` is active. A head of another
+    predicate or arity cannot take the constraint, so that costs no search."""
+    head = rule.heads[pos]
     head = head if isinstance(head, Atom) else head.atom
     if head.pred != goal.atom.pred or head.arity != goal.atom.arity:
         return None
-    matches = enumerate_matches(ar.rule, store, anchor=(pos, goal.label), limit=1, exclude=history)
+    matches = enumerate_matches(rule, store, (pos, goal.label), maximal=match.MAXIMAL, limit=1, exclude=history)
     return matches[0] if matches else None
 
 
 def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, str] | None:
     """One transition of the leading goal; None when the stack is empty. A
-    firing takes the least match (`MatchResult.sort_key` order) that a
+    firing takes the least match (by `MatchResult.blocks`) that a
     propagation goal's history does not already hold. The search asks for
     that one match (`enumerate_matches`' `limit=1`) and skips the history's
     instances (`exclude`) before it validates anything."""
@@ -216,8 +190,8 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         hit = pw.lookup(goal.occurrence)
         if hit is None:
             return ExecutionState(rest, store), "act-drop"
-        ar, pos = hit
-        if ar.is_propagation:
+        rule, pos = hit
+        if rule.is_propagation:
             return (
                 ExecutionState(
                     (PropGoal(goal.atom, goal.label, goal.occurrence, frozenset()),) + rest,
@@ -225,11 +199,11 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
                 ),
                 "act-prop",
             )
-        m = _least_match(ar, pos, goal, store)
-        n_prop = len(ar.rule.propagated)
+        m = _least_match(rule, pos, goal, store)
+        n_prop = len(rule.propagated)
         if m is not None:
             store2 = store.remove(i for b in m.blocks[n_prop:] for i in b)
-            init = InitGoal(m.theta.apply(ar.rule.body), (ar.rule, m))
+            init = InitGoal(m.theta.apply(rule.body), (rule, m))
             if pos >= n_prop:
                 # Active constraint sits in the simplified head: it goes too.
                 return ExecutionState((init,) + rest, store2), "act-simpa-1"
@@ -245,13 +219,13 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         hit = pw.lookup(goal.occurrence)
         if hit is None:
             raise ChrcpError("prop goal on a vanished occurrence")
-        ar, pos = hit
-        m = _least_match(ar, pos, goal, store, goal.history)
+        rule, pos = hit
+        m = _least_match(rule, pos, goal, store, goal.history)
         if m is not None:
-            body = m.theta.apply(ar.rule.body)
-            new_hist = goal.history | {m.instance_key(ar.rule.head_vars())}
+            body = m.theta.apply(rule.body)
+            new_hist = goal.history | {m.instance_key(rule.head_vars())}
             goals = (
-                InitGoal(body, (ar.rule, m)),
+                InitGoal(body, (rule, m)),
                 PropGoal(goal.atom, goal.label, goal.occurrence, new_hist),
             ) + rest
             return ExecutionState(goals, store), "prop-prop"

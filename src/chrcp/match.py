@@ -11,15 +11,17 @@ Three judgments drive everything:
 
 `enumerate_matches` is the search procedure: it solves for a substitution
 pattern by pattern (atoms first, by predicate-indexed backtracking, then
-comprehension absorption with branching on contested constraints), and
-validates every match it keeps against the declarative judgments above.
-Asked for the `limit` least matches, it searches least-first by branch and
-bound and cuts every branch that cannot beat them, before validation.
+comprehension absorption with branching on contested constraints). Every
+match it keeps has its comprehension blocks validated by `matches_exactly`
+and, where a constraint was deliberately left out, its maximality by
+`residual_non_match`; an atom head's block is its own match by
+construction. Asked for the `limit` least matches, it searches least-first
+by branch and bound and cuts every branch that cannot beat them, before
+validation.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
@@ -134,26 +136,22 @@ def _cut(seq: tuple, positions: list[int]) -> tuple:
     return tuple(chain.from_iterable(seq[a + 1 : b] for a, b in zip([-1, *positions], [*positions, len(seq)])))
 
 
-# One knob, used by the differential harness's negative control. Only
-# callers that pass check_maximality=None honor it (the goal-stack engine);
-# oracle-side enumeration always requests the real semantics explicitly.
-_STATE = threading.local()
-
-
-def ambient_maximality() -> bool:
-    return getattr(_STATE, "maximality", True)
+# False while `maximality_disabled` is active. Only the goal-stack machine
+# reads it, and passes it to `enumerate_matches` as `maximal`.
+MAXIMAL = True
 
 
 @contextmanager
 def maximality_disabled():
-    """Skip the residual (maximality) check in ambient-mode enumeration;
-    for harness negative controls."""
-    prev = ambient_maximality()
-    _STATE.maximality = False
+    """Make the goal-stack machine fire non-maximal matches as well: the
+    differential harness's negative control, which `check_soundness` must
+    catch. The declarative engine keeps the real semantics."""
+    global MAXIMAL
+    prev, MAXIMAL = MAXIMAL, False
     try:
         yield
     finally:
-        _STATE.maximality = prev
+        MAXIMAL = prev
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +428,6 @@ class MatchResult:
     def all_ids(self) -> tuple[int, ...]:
         return tuple(sorted(i for b in self.blocks for i in b))
 
-    def sort_key(self):
-        return (self.blocks, self.theta.key())
-
     def instance_key(self, head_vars: frozenset[str]) -> tuple:
         """The rule instance this match fires: the substitution restricted
         to the rule's `head_vars` and the matched labels. A propagation goal
@@ -445,13 +440,16 @@ def enumerate_matches(
     store: LabeledStore,
     anchor: tuple[int, int] | None = None,
     *,
-    check_maximality: bool | None = None,
+    maximal: bool = True,
     limit: int | None = None,
     exclude: Collection[tuple] = frozenset(),
 ) -> list[MatchResult]:
-    """The maximal matches of a rule against a labeled store, least first in
-    `MatchResult.sort_key` order (block ids per head, then substitution):
-    all of them, or with `limit` only the `limit` least. A match whose
+    """The maximal matches of a rule against a labeled store, least first by
+    `blocks` (block labels per head): all of them, or with `limit` only the
+    `limit` least. With `maximal=False` the non-maximal ones are kept too.
+    One search never returns two matches with equal blocks: a search path
+    is fixed by its blocks (each atom head's candidate, then each item's
+    comprehension or none), and staying out binds nothing. A match whose
     `instance_key` is in `exclude` is dropped before it is validated, so it
     neither counts toward `limit` nor bounds the search.
 
@@ -463,12 +461,9 @@ def enumerate_matches(
     one label, a comprehension's block only grows by larger labels), and a
     branch whose bound exceeds the `limit`-th least match found so far is
     cut. Choices are tried least-first, so the bound tightens early.
-    `check_maximality=None` defers to the ambient flag (see
-    `maximality_disabled`); pass True to force the real semantics.
     """
     if limit is not None and limit < 1:
         raise ChrcpError(f"match limit must be at least 1, not {limit}")
-    maximal = ambient_maximality() if check_maximality is None else check_maximality
     rule = normalize_rule(rule)
     heads = rule.heads
     solvable, head_vars = rule.rule_vars(), rule.head_vars()
@@ -481,7 +476,6 @@ def enumerate_matches(
     comp_buckets = [by_pred.get(pred, ()) for pred in {heads[i].atom.pred for i in comp_idx}]
 
     results: list[MatchResult] = []  # with a limit: the least found so far, sorted
-    seen: set = set()
 
     def blocks_so_far(chosen: dict[int, int], absorbed: Mapping[int, list[int]]) -> tuple:
         """Blocks of the chosen atom heads and of what each comprehension
@@ -528,29 +522,29 @@ def enumerate_matches(
         res = MatchResult(theta, blocks)
         if exclude and res.instance_key(head_vars) in exclude:
             return
-        # Declarative validation of every block, then maximality.
-        matched_pats = []
-        for hi, p in enumerate(heads):
-            inst = theta.apply(p)
+        # Declarative validation of every comprehension block, then
+        # maximality. An atom head needs none: its arguments are variables
+        # (`normalize_rule`) that `_match_atom` bound to, or checked
+        # against, the matched atom's own arguments.
+        matched_comps = []
+        for ci in comp_idx:
             try:
-                if not matches_exactly([inst], [atoms_by_id[i] for i in blocks[hi]]):
+                inst = theta.apply(heads[ci])
+                if not matches_exactly([inst], [atoms_by_id[i] for i in blocks[ci]]):
                     return
             except (TermTypeError, NonGroundError):
                 return
-            matched_pats.append(inst)
+            matched_comps.append(inst)
         if maximal and risky_stays:
             # Items rejected by every comprehension at assign time stay
             # rejected (failures are stable as the substitution grows), so
             # only deliberate stay choices need the residual test.
-            if not residual_non_match(matched_pats, [atoms_by_id[i] for i in risky_stays]):
+            if not residual_non_match(matched_comps, [atoms_by_id[i] for i in risky_stays]):
                 return
-        key = res.sort_key()
-        if key not in seen:
-            seen.add(key)
-            results.append(res)
-            if limit is not None:
-                results.sort(key=MatchResult.sort_key)
-                del results[limit:]
+        results.append(res)
+        if limit is not None:
+            results.sort(key=lambda m: m.blocks)
+            del results[limit:]
 
     def assign_comps(remaining: list[StoreItem], env: dict[str, Term], chosen: dict[int, int]) -> None:
         # The items each comprehension absorbed so far (labels, binder
@@ -644,7 +638,7 @@ def enumerate_matches(
             match_atoms(pending[1:], env2, chosen2)
 
     match_atoms(atom_idx, {}, {})
-    results.sort(key=MatchResult.sort_key)
+    results.sort(key=lambda m: m.blocks)
     return results
 
 

@@ -98,7 +98,7 @@ def abstract_steps(program: Program, store: Store) -> Iterator[tuple[AbstractSte
     multiset = Counter(store)
     seen: set = set()
     for rule in program.rules:
-        for match in enumerate_matches(rule, labeled, check_maximality=True):
+        for match in enumerate_matches(rule, labeled):
             step, successor = rule_application(rule, match, labeled.by_label, multiset)
             key = (step.rule, step.theta.key(), step.consumed, step.produced)
             if key in seen:

@@ -25,7 +25,6 @@ from .terms import (
     conj,
     conjuncts,
     guard_bind_vars,
-    guard_loose,
     guard_vars,
     name_supply,
     norm_loose,
@@ -96,8 +95,9 @@ class Comprehension:
             atom = Atom(atom.pred, tuple(subst_term(ren, a) for a in atom.args))
             guard = subst_guard(ren, guard)
         new_atom = Atom(atom.pred, tuple(norm_loose(subst_term(m, a)) for a in atom.args))
-        new_guard = guard_loose(subst_guard(m, guard))
-        return Comprehension(new_atom, new_guard, binders, dom, aux)
+        # The guard is left unevaluated: an ill-typed conjunct fails only the
+        # elements it is solved for (`match._try_conjunct`), not the caller.
+        return Comprehension(new_atom, subst_guard(m, guard), binders, dom, aux)
 
 
 Pattern = Union[Atom, Comprehension]

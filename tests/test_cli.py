@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chrcp
+from chrcp import cli
 from chrcp.bundled import PROGRAMS, STORES, corpus_path
 from chrcp.cli import main
 from chrcp.errors import ChrcpError
@@ -81,6 +82,18 @@ class TestRun:
         records = json.loads(out_file.read_text())
         assert records and {"index", "kind", "classification"} <= set(records[0])
 
+    @pytest.mark.parametrize("engine", ["op", "abs"])
+    def test_trace_records_built_only_for_trace(self, capsys, tmp_path, engine, monkeypatch):
+        built = []
+        real = cli.trace_record
+        monkeypatch.setattr(cli, "trace_record", lambda *a, **kw: built.append(1) or real(*a, **kw))
+        args = ["run", prog("relabel"), "--store", store("relabel2"), "--engine", engine]
+        assert run_cli(capsys, *args)[0] == 0
+        assert built == []
+        out_file = tmp_path / "trace.json"
+        assert run_cli(capsys, *args, "--trace", str(out_file))[0] == 0
+        assert len(built) == len(json.loads(out_file.read_text())) > 0
+
     def test_deep_nesting_exit_one(self, tmp_path):
         f = tmp_path / "p.chrcp"
         f.write_text("r @ p(X) <=> q(X).\n")
@@ -146,6 +159,24 @@ class TestRun:
         code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
         assert code == 0
         assert out.strip().endswith("OK")
+
+    @pytest.mark.parametrize("engine", ["op", "abs"])
+    def test_ill_typed_comprehension_guard_fails_its_elements(self, capsys, tmp_path, engine, monkeypatch):
+        # With W = a, `W + 1` is ill-typed: the head comprehension absorbs
+        # neither p, and the body comprehension unfolds no q.
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        s = tmp_path / "s.store"
+        s.write_text("t(a), p(1), p(5).\n")
+        for program, final in (
+            ("r @ t(W), {p(D) | D >= W + 1}#{D in Ds} <=> q(Ds).", "p(1), p(5), q([])."),
+            ("r @ t(W) ==> {q(D) | D >= W + 1}#{D in [1, 5]}.", "p(1), p(5), t(a)."),
+        ):
+            f = tmp_path / "typed.chrcp"
+            f.write_text(program + "\n")
+            code, out, _ = run_cli(capsys, "run", str(f), "--store", str(s), "--engine", engine)
+            assert (code, out.strip()) == (0, final), program
+            code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
+            assert code == 0 and out.strip().endswith("OK"), program
 
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"

@@ -35,19 +35,20 @@ from oracles import ModelStore, oracle_prop_instances, whole_state_problems
 class TestAnnotate:
     def test_pivot_indices(self, pivot_program):
         pw = annotate(pivot_program)
-        (ar,) = pw.rules
-        assert ar.occurrences == (1, 2, 3)
-        assert pw.lookup(1)[1] == 0 and pw.lookup(3)[1] == 2
+        (rule,) = {pw.lookup(i)[0] for i in (1, 2, 3)}
+        assert rule.name == "pivotSwap"
+        assert [pw.lookup(i)[1] for i in (1, 2, 3)] == [0, 1, 2]
         assert pw.lookup(4) is None
 
     def test_sequential_across_rules(self):
         pw = annotate(parse_program("r @ p(X), q(X) <=> s(X). t @ s(X) ==> p(X)."))
-        assert [ar.occurrences for ar in pw.rules] == [(1, 2), (3,)]
+        assert [(pw.lookup(i)[0].name, pw.lookup(i)[1]) for i in (1, 2, 3)] == [("r", 0), ("r", 1), ("t", 0)]
+        assert pw.lookup(4) is None
 
     def test_empty_program(self):
         pw = annotate(parse_program(""))
         assert pw.lookup(1) is None
-        assert pw.rules == () and pw.table == {}
+        assert pw.table == {}
 
     def test_drop_indices_reproduces_source(self, pivot_program):
         assert annotate(pivot_program).source == pivot_program
@@ -160,11 +161,11 @@ class TestStepDispatch:
         pw = annotate(p)
         store = LabeledStore()
         store, n = store.add(Atom("p", (Int(1),)))
-        ar, _ = pw.lookup(1)
+        rule, _ = pw.lookup(1)
         from chrcp.match import enumerate_matches
 
-        (m,) = enumerate_matches(ar.rule, store, anchor=(0, n))
-        hist = frozenset({m.instance_key(ar.rule.head_vars())})
+        (m,) = enumerate_matches(rule, store, anchor=(0, n))
+        hist = frozenset({m.instance_key(rule.head_vars())})
         s = ExecutionState((PropGoal(Atom("p", (Int(1),)), n, 1, hist),), store)
         state, kind = step(pw, s)
         assert kind == "prop-sat"

@@ -1,5 +1,4 @@
 import random
-from contextlib import nullcontext
 
 import pytest
 
@@ -10,7 +9,6 @@ from chrcp.machine import annotate, run_operational
 from chrcp.match import (
     enumerate_matches,
     matches_exactly,
-    maximality_disabled,
     residual_non_match,
     subsumes,
 )
@@ -116,8 +114,7 @@ class TestEnumerate:
         matches = enumerate_matches(r, labeled(items))
         assert len(matches) == 1
         assert matches[0].theta["Xs"] == mset(Int(1), Int(2))
-        with maximality_disabled():
-            relaxed = enumerate_matches(r, labeled(items))
+        relaxed = enumerate_matches(r, labeled(items), maximal=False)
         assert {m.theta["Xs"] for m in relaxed} == {
             mset(),
             mset(Int(1)),
@@ -166,8 +163,7 @@ class TestEnumerate:
     def test_deterministic_order(self, relabel_program):
         (r,) = relabel_program.rules
         items = list(enumerate(parse_store("a(1), a(2).")))
-        with maximality_disabled():
-            runs = [tuple(m.sort_key() for m in enumerate_matches(r, labeled(items))) for _ in range(3)]
+        runs = [tuple(m.blocks for m in enumerate_matches(r, labeled(items), maximal=False)) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
         assert list(runs[0]) == sorted(runs[0])
 
@@ -184,10 +180,9 @@ def random_searches():
         for rule in program.rules:
             anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in store.entries]
             for relaxed in (False, True):
-                with maximality_disabled() if relaxed else nullcontext():
-                    for anchor in anchors:
-                        full = enumerate_matches(rule, store, anchor)
-                        searches.append(((seed, rule.name, anchor, relaxed), rule, store, anchor, relaxed, full))
+                for anchor in anchors:
+                    full = enumerate_matches(rule, store, anchor, maximal=not relaxed)
+                    searches.append(((seed, rule.name, anchor, relaxed), rule, store, anchor, relaxed, full))
     return searches
 
 
@@ -197,11 +192,10 @@ class TestLimit:
         anchor and with maximality on or off."""
         longer = 0
         for case, rule, store, anchor, relaxed, full in random_searches:
-            with maximality_disabled() if relaxed else nullcontext():
-                for k in (1, 2, 3):
-                    got = enumerate_matches(rule, store, anchor, limit=k)
-                    assert got == full[:k], case + (k,)
-                    longer += len(full) > k
+            for k in (1, 2, 3):
+                got = enumerate_matches(rule, store, anchor, maximal=not relaxed, limit=k)
+                assert got == full[:k], case + (k,)
+                longer += len(full) > k
         assert longer >= 100  # enough cases where the limit drops matches
 
     def test_exclude_drops_keys_before_the_limit(self, random_searches):
@@ -217,13 +211,12 @@ class TestLimit:
             lengths = {1, 2, 3, 4, len(keys) - 1, len(keys)}
             subsets = [frozenset(keys[:i]) for i in sorted(lengths) if i >= 0]
             subsets.append(frozenset(key for key in keys if rng.random() < 0.5))
-            with maximality_disabled() if relaxed else nullcontext():
-                for exclude in dict.fromkeys(e for e in subsets if e):
-                    kept = [m for m, key in zip(full, keys) if key not in exclude]
-                    for k in (1, 2, 3):
-                        got = enumerate_matches(rule, store, anchor, limit=k, exclude=exclude)
-                        assert got == kept[:k], case + (k, sorted(exclude))
-                        changed += kept[:k] != full[:k]
+            for exclude in dict.fromkeys(e for e in subsets if e):
+                kept = [m for m, key in zip(full, keys) if key not in exclude]
+                for k in (1, 2, 3):
+                    got = enumerate_matches(rule, store, anchor, maximal=not relaxed, limit=k, exclude=exclude)
+                    assert got == kept[:k], case + (k, sorted(exclude))
+                    changed += kept[:k] != full[:k]
         assert changed >= 100  # enough cases where the exclusion moves the result
 
     def test_limit_below_one_is_an_error(self, relabel_program):
@@ -249,10 +242,21 @@ class TestLimit:
         assert correspondence(run.state) == (atom("l([])"), atom(f"r({list(range(12))})"))
         assert len(validated) <= 2 * 12
 
-    def test_pair_prop_validates_one_match_per_firing(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "program, validated_per_firing",
+        [
+            (corpus_program("pair_prop"), 0),
+            (parse_program("pairs @ p(X), p(Y), {w(Z)}#{Z in Zs} ==> q(X, Y, Zs)."), 1),
+        ],
+        ids=["pair_prop", "with-comprehension"],
+    )
+    def test_prop_validates_one_block_per_firing(self, monkeypatch, program, validated_per_firing):
         """A propagation goal's search skips its history before validation,
-        so `pair_prop` over 16 distinct p's validates only the 240 matches
-        it fires, two heads each."""
+        and only comprehension blocks are validated. Over 16 distinct p's
+        both rules fire 240 times: `pair_prop`, whose heads are atoms,
+        validates nothing, and the rule with an (empty) comprehension head
+        validates one block per firing. Validating a fired instance again
+        would add to the count of every firing after the first."""
         validated = []
         real = match.matches_exactly
 
@@ -261,10 +265,9 @@ class TestLimit:
             return real(patterns, store)
 
         monkeypatch.setattr(match, "matches_exactly", spy)
-        pw = annotate(corpus_program("pair_prop"))
-        run = run_operational(pw, parse_store(", ".join(f"p({i})" for i in range(16)) + "."))
+        run = run_operational(annotate(program), parse_store(", ".join(f"p({i})" for i in range(16)) + "."))
         assert [kind for kind, _ in run.trace].count("prop-prop") == 240
-        assert len(validated) == 480
+        assert len(validated) == 240 * validated_per_firing
 
 
 class TestOracleEquivalence:
@@ -283,6 +286,15 @@ class TestOracleEquivalence:
             ("r @ p(X) <=> X + 1 > 2 | q(X).", "p(a), p(5)."),
             ("r @ p(X) <=> Y = X + 1 | q(Y).", "p(a), p(5)."),
             ("r @ {p(X) | X + 1 > 2}#{X in Xs} <=> q(Xs).", "p(a), p(5)."),
+            # a comprehension guard ill-typed once the rule is instantiated
+            # (`a + 1`) absorbs nothing: the match takes an empty block
+            ("r @ t(W), {p(D) | D >= W + 1}#{D in Ds} <=> q(Ds).", "t(a), p(1), p(5)."),
+            ("r @ t(W) \\ {p(D) | D >= W + 1}#{D in Ds} <=> q(Ds).", "t(a), p(1), p(5)."),
+            # the rule guard reads the whole domain, so only the strict solve
+            # at the end of the search can reject the match
+            ("r @ {p(X)}#{X in Xs} <=> reduce(count, 0, Xs) > 2 | q(Xs).", "p(1), p(2)."),
+            # an atom head binds the domain first: g([1]) cannot take both p's
+            ("r @ g(Xs), {p(X)}#{X in Xs} <=> true.", "g([1]), g([1, 2]), p(1), p(2)."),
         ]
         for ptext, stext in cases:
             (rule,) = parse_program(ptext, check=False).rules

@@ -10,9 +10,9 @@ from chrcp.rewrite import (
     unfold_body,
 )
 from chrcp.rules import Atom, Comprehension, canonical_store
-from chrcp.terms import GTrue, Int, Rel, Sym, Var, mset
+from chrcp.terms import GTrue, Int, Rel, Substitution, Sym, Var, mset
 
-from oracles import oracle_successors
+from oracles import oracle_successors, oracle_unfold
 
 
 def store(text):
@@ -33,6 +33,13 @@ class TestUnfoldBody:
     def test_empty_domain(self):
         c = Comprehension(Atom("p", (Var("X"),)), GTrue(), ("X",), mset())
         assert unfold_body([c]) == []
+
+    def test_ill_typed_guard_skips_its_elements(self):
+        # Substituting W = a makes `W + 1` ill-typed for every element: each
+        # is skipped as if its guard failed, and the substitution succeeds.
+        (rule,) = parse_program("r @ t(W) ==> {q(D) | D >= W + 1}#{D in [1, 5]}.").rules
+        body = Substitution({"W": Sym("a")}).apply(rule.body)
+        assert unfold_body(body) == oracle_unfold(rule.body, {"W": Sym("a")}) == []
 
 
 class TestAbstractStep:
