@@ -34,6 +34,7 @@ from .machine import annotate, run_operational
 from .monotone import predicate_report, residual_non_unifiable
 from .parse import load_program, load_store, pretty_pattern, pretty_store
 from .rewrite import MAX_STEPS, run_abstract, store_of
+from .rules import Atom, Comprehension, Rule
 from .soundness import check_soundness, correspondence, trace_record, trace_records
 
 
@@ -73,15 +74,26 @@ def _write_trace(path: str, records: list[dict]) -> None:
         raise ChrcpError(f"{path}: cannot write trace: {exc.strerror}") from None
 
 
+def _refires(rule: Rule) -> bool:
+    """Can the rule fire without removing a constraint, and so again and
+    again under the abstract relation, which keeps no propagation history?
+    A `==>` rule can. So can a rule that removes only comprehensions and
+    adds an atom: with empty blocks it still adds that atom, so each firing
+    changes the store and the run never settles."""
+    if rule.is_propagation:
+        return True
+    return all(isinstance(h, Comprehension) for h in rule.simplified) and any(isinstance(p, Atom) for p in rule.body)
+
+
 def cmd_run(args) -> int:
     program = load_program(args.program)
     store = load_store(args.store) if args.store else ()
     if args.engine == "abs":
-        prop = ", ".join(r.name for r in program.rules if r.is_propagation)
-        if prop:
+        refiring = ", ".join(r.name for r in program.rules if _refires(r))
+        if refiring:
             print(
-                f"warning: --engine abs keeps no propagation history: ==> rules ({prop}) "
-                "may fire until --max-steps",
+                f"warning: --engine abs keeps no propagation history: rules ({refiring}) can fire "
+                "without removing a constraint and may fire until --max-steps",
                 file=sys.stderr,
             )
         run = run_abstract(program, store_of(store), max_steps=args.max_steps, seed=args.seed)

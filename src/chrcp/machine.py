@@ -9,13 +9,17 @@ every constraint is monotone, and the comprehension heads that any other
 pattern is checked against. Propagation rules track per-goal histories of applied instances so
 saturation terminates. The store (`match.LabeledStore`) keeps its index up
 to date per step: a label -> atom map, per-predicate buckets in label order
-for the head-match search, and digest tokens for `state_digest`. A head of
-another predicate or arity than the active constraint's costs no search.
+for the head-match search, and digest tokens for `state_digest`, which
+joins them once per store and formats each goal once. A head of another
+predicate or arity than the active constraint's costs no search, and
+neither does a rule with an atom head whose predicate has no constraint
+stored: that partner is missing, so the rule cannot fire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from . import match
@@ -71,16 +75,29 @@ class InitGoal:
     # certificate the soundness checker confirms. Not part of goal identity.
     cause: tuple | None = field(default=None, compare=False)
 
+    @cached_property
+    def digest(self) -> str:
+        """The goal's text in a state digest, formatted once per goal."""
+        return f"init[{len(self.body)}]"
+
 
 @dataclass(frozen=True)
 class LazyGoal:
     atom: Atom
+
+    @cached_property
+    def digest(self) -> str:
+        return f"lazy {self.atom.pred}/{self.atom.arity}"
 
 
 @dataclass(frozen=True)
 class EagerGoal:
     atom: Atom
     label: int
+
+    @cached_property
+    def digest(self) -> str:
+        return f"eager #{self.label}"
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,10 @@ class ActGoal:
     label: int
     occurrence: int
 
+    @cached_property
+    def digest(self) -> str:
+        return f"act #{self.label}@{self.occurrence}"
+
 
 @dataclass(frozen=True)
 class PropGoal:
@@ -96,6 +117,10 @@ class PropGoal:
     label: int
     occurrence: int
     history: frozenset  # `MatchResult.instance_key`s of the instances fired
+
+    @cached_property
+    def digest(self) -> str:
+        return f"prop #{self.label}@{self.occurrence}|{len(self.history)}"
 
 
 Goal = Union[InitGoal, LazyGoal, EagerGoal, ActGoal, PropGoal]
@@ -139,11 +164,16 @@ def _least_match(
 ) -> MatchResult | None:
     """The least match of the normalized `rule` with the active constraint
     in head `pos` whose instance key is not in `history`; a non-maximal one
-    too while `match.maximality_disabled` is active. A head of another
-    predicate or arity cannot take the constraint, so that costs no search."""
+    too while `match.maximality_disabled` is active. Two cases cost no
+    search: a head of another predicate or arity cannot take the
+    constraint, and another atom head whose predicate has no constraint in
+    the store has no partner to take."""
     head = rule.heads[pos]
     head = head if isinstance(head, Atom) else head.atom
     if head.pred != goal.atom.pred or head.arity != goal.atom.arity:
+        return None
+    by_pred = store.by_pred
+    if any(isinstance(h, Atom) and i != pos and not by_pred.get(h.pred) for i, h in enumerate(rule.heads)):
         return None
     matches = enumerate_matches(rule, store, (pos, goal.label), maximal=match.MAXIMAL, limit=1, exclude=history)
     return matches[0] if matches else None
@@ -154,7 +184,10 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
     firing takes the least match (by `MatchResult.blocks`) that a
     propagation goal's history does not already hold. The search asks for
     that one match (`enumerate_matches`' `limit=1`) and skips the history's
-    instances (`exclude`) before it validates anything."""
+    instances (`exclude`) before it validates anything, and before it
+    solves anything when the rule's heads are all atoms. An occurrence
+    whose rule misses an atom partner in the store makes no search
+    (`_least_match`)."""
     if not state.goals:
         return None
     goal, rest = state.goals[0], state.goals[1:]
@@ -283,23 +316,13 @@ class OpRun:
     truncated: str | None  # the limit that stopped the run, e.g. "step budget 40"
 
 
-def goal_digest(g: Goal) -> str:
-    if isinstance(g, InitGoal):
-        return f"init[{len(g.body)}]"
-    if isinstance(g, LazyGoal):
-        return f"lazy {g.atom.pred}/{g.atom.arity}"
-    if isinstance(g, EagerGoal):
-        return f"eager #{g.label}"
-    if isinstance(g, ActGoal):
-        return f"act #{g.label}@{g.occurrence}"
-    return f"prop #{g.label}@{g.occurrence}|{len(g.history)}"
-
-
 def state_digest(s: ExecutionState) -> str:
-    store = ",".join(s.store.tokens)
-    goals = ";".join(goal_digest(g) for g in s.goals[:4])
+    """The top four goals and the store's tokens. Each piece's text is
+    cached on the immutable goal or store it renders, so a step pays only
+    for what it made new."""
+    goals = ";".join(g.digest for g in s.goals[:4])
     more = "..." if len(s.goals) > 4 else ""
-    return f"<[{goals}{more}] | {{{store}}}>"
+    return f"<[{goals}{more}] | {{{s.store.digest}}}>"
 
 
 def run_operational(

@@ -10,14 +10,16 @@ Three judgments drive everything:
   in a pattern multiset; this is what makes matched comprehensions maximal.
 
 `enumerate_matches` is the search procedure: it solves for a substitution
-pattern by pattern (atoms first, by predicate-indexed backtracking, then
-comprehension absorption with branching on contested constraints). Every
-match it keeps has its comprehension blocks validated by `matches_exactly`
-and, where a constraint was deliberately left out, its maximality by
-`residual_non_match`; an atom head's block is its own match by
-construction. Asked for the `limit` least matches, it searches least-first
-by branch and bound and cuts every branch that cannot beat them, before
-validation.
+pattern by pattern (atoms first, the anchored one ahead of its partners, by
+predicate-indexed backtracking, then comprehension absorption with
+branching on contested constraints). Every match it keeps has its
+comprehension blocks validated by `matches_exactly` and, where a constraint
+was deliberately left out, its maximality by `residual_non_match`; an atom
+head's block is its own match by construction. Asked for the `limit` least
+matches, it searches least-first by branch and bound and cuts every branch
+that cannot beat them, before validation. Instances to `exclude` are
+skipped as soon as their key is known: for a rule of atom heads only, when
+the last atom head takes its candidate, before anything is solved.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Mapping
 
@@ -88,6 +91,11 @@ class LabeledStore:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def digest(self) -> str:
+        """The store's text in a state digest: its tokens, joined once."""
+        return ",".join(self.tokens)
 
     def __contains__(self, label: int) -> bool:
         return label in self.by_label
@@ -432,7 +440,14 @@ class MatchResult:
         """The rule instance this match fires: the substitution restricted
         to the rule's `head_vars` and the matched labels. A propagation goal
         keeps the keys of the instances it fired as its history."""
-        return (self.theta.restrict(head_vars).key(), self.all_ids())
+        return instance_key({k: v for k, v in self.theta.items() if k in head_vars}, self.all_ids())
+
+
+def instance_key(bindings: Mapping[str, Term], labels: Iterable[int]) -> tuple:
+    """Key of a rule instance: its head-variable bindings in name order, and
+    its labels sorted. `MatchResult.instance_key` and the search's skip of
+    fired instances both build it here, so the two agree."""
+    return (tuple((k, term_key(bindings[k])) for k in sorted(bindings)), tuple(sorted(labels)))
 
 
 def enumerate_matches(
@@ -450,17 +465,25 @@ def enumerate_matches(
     One search never returns two matches with equal blocks: a search path
     is fixed by its blocks (each atom head's candidate, then each item's
     comprehension or none), and staying out binds nothing. A match whose
-    `instance_key` is in `exclude` is dropped before it is validated, so it
-    neither counts toward `limit` nor bounds the search.
+    `instance_key` is in `exclude` is dropped, so it neither counts toward
+    `limit` nor bounds the search. When every head is an atom, the atoms
+    chosen fix the key, so a fired instance is skipped as its last atom
+    head takes its candidate, before any of its heads or its guard is
+    solved; with a comprehension head the key needs the blocks' domains,
+    so the match is dropped after absorption, before it is validated.
 
     `anchor`, when given, is (head pattern index, store label): the item
-    must land in that pattern's block. Atom heads take their candidates,
-    and comprehensions absorb, from their predicates' buckets in label
-    order. With a `limit` the search is branch and bound: the blocks chosen
-    so far bound every completion from below (an atom head's block is its
-    one label, a comprehension's block only grows by larger labels), and a
-    branch whose bound exceeds the `limit`-th least match found so far is
-    cut. Choices are tried least-first, so the bound tightens early.
+    must land in that pattern's block. An anchored atom head is matched
+    first, with the anchored item as its one candidate, so its bindings are
+    known before any partner is tried. The other atom heads take their
+    candidates, and comprehensions absorb, from their predicates' buckets
+    in label order. With a `limit` the search is branch and bound: the
+    blocks chosen so far bound every completion from below (a head not
+    reached yet has block `()`, below any label; an atom head's block is
+    its one label; a comprehension's block only grows by larger labels), in
+    whatever order the heads are reached, and a branch whose bound exceeds
+    the `limit`-th least match found so far is cut. Choices are tried
+    least-first, so the bound tightens early.
     """
     if limit is not None and limit < 1:
         raise ChrcpError(f"match limit must be at least 1, not {limit}")
@@ -471,7 +494,18 @@ def enumerate_matches(
         return []
 
     atom_idx = [i for i, p in enumerate(heads) if isinstance(p, Atom)]
+    if anchor is not None and anchor[0] in atom_idx:
+        # The anchored head goes first, so no partner is solved before its
+        # bindings are known. The results stay the same: `blocks_so_far` is a
+        # lower bound in any head order, since a head not reached yet has
+        # block (), and each head's candidates still rise in label order, so
+        # the `break` after `cut` stays valid.
+        atom_idx.remove(anchor[0])
+        atom_idx.insert(0, anchor[0])
     comp_idx = [i for i, p in enumerate(heads) if isinstance(p, Comprehension)]
+    # A comprehension head's instance key needs its domain, so `finish`
+    # checks `exclude` for such a rule; otherwise `match_atoms` does.
+    skip_fired = bool(exclude) and not comp_idx
     by_pred, atoms_by_id = store.by_pred, store.by_label
     comp_buckets = [by_pred.get(pred, ()) for pred in {heads[i].atom.pred for i in comp_idx}]
 
@@ -520,7 +554,7 @@ def enumerate_matches(
             return
         theta = Substitution({k: v for k, v in solved.items() if k in solvable})
         res = MatchResult(theta, blocks)
-        if exclude and res.instance_key(head_vars) in exclude:
+        if comp_idx and exclude and res.instance_key(head_vars) in exclude:
             return
         # Declarative validation of every comprehension block, then
         # maximality. An atom head needs none: its arguments are variables
@@ -607,6 +641,13 @@ def enumerate_matches(
             else:
                 finish(env, chosen, labels, tuples, stays)
 
+    def fired_key(chosen: dict[int, int]) -> tuple:
+        """The instance key of any match of atom heads only that takes the
+        `chosen` atoms. `normalize_rule` makes each atom-head argument a
+        variable, which `_match_atom` binds to the chosen atom's argument."""
+        bindings = {v.name: t for h, n in chosen.items() for v, t in zip(heads[h].args, atoms_by_id[n].args)}
+        return instance_key(bindings, chosen.values())
+
     def match_atoms(pending: list[int], env: dict[str, Term], chosen: dict[int, int]) -> None:
         if not pending:
             used = set(chosen.values())
@@ -621,6 +662,7 @@ def enumerate_matches(
             cands = ((anchor[1], atoms_by_id[anchor[1]]),)
         else:
             cands = by_pred.get(pat.pred, ())
+        last = len(pending) == 1
         for item_id, atom in cands:
             if item_id in chosen.values():
                 continue
@@ -628,7 +670,9 @@ def enumerate_matches(
                 continue
             chosen2 = {**chosen, hi: item_id}
             if cut(chosen2, {}):
-                break  # the later candidates have larger labels
+                break  # the later candidates have larger labels, so larger bounds
+            if skip_fired and last and fired_key(chosen2) in exclude:
+                continue
             env2 = _match_atom(pat, atom, env, solvable)
             if env2 is None:
                 continue

@@ -67,9 +67,9 @@ class ModelStore:
         return len(self.entries)
 
     @property
-    def tokens(self) -> tuple:
-        """Digest tokens, rendered on every query."""
-        return tuple(f"{a.pred}#{n}" for n, a in self.entries)
+    def digest(self) -> str:
+        """The store's text in a state digest, rendered on every query."""
+        return ",".join(f"{a.pred}#{n}" for n, a in self.entries)
 
     def buckets(self) -> dict:
         """Predicate -> labels of its entries, in label order."""

@@ -61,6 +61,21 @@ class TestRun:
         warnings = [line for line in err.splitlines() if line.startswith("warning")]
         assert len(warnings) == 1 and "copy" in warnings[0]
 
+    def test_abs_engine_warns_on_rules_that_remove_only_comprehensions(self, capsys, tmp_path):
+        """With an empty block the rule removes nothing and still adds q([]),
+        so the abstract relation fires it until the step budget."""
+        f = tmp_path / "r.chrcp"
+        f.write_text("r @ t(W) \\ {p(D) | D >= W + 1}#{D in Ds} <=> q(Ds).\n")
+        s = tmp_path / "s.store"
+        s.write_text("t(0), p(1), p(5).\n")
+        code, out, err = run_cli(
+            capsys, "run", str(f), "--store", str(s), "--engine", "abs", "--max-steps", "6"
+        )
+        assert code == 2
+        assert out.strip() == "q([]), q([]), q([]), q([]), q([]), q([1, 5]), t(0)."
+        warnings = [line for line in err.splitlines() if line.startswith("warning")]
+        assert len(warnings) == 1 and "(r)" in warnings[0]
+
     def test_step_limit_exit_code(self, capsys, tmp_path):
         f = tmp_path / "loop.chrcp"
         f.write_text("loop @ p(X) ==> p(X).\n")

@@ -470,3 +470,20 @@ class TestRecordedTraces:
         after_search = ("act-simpa-1", "act-simpa-2", "act-next", "prop-prop", "prop-sat")
         assert len(searched) < sum(map(kinds.count, after_search))
         assert (len(run.trace), trace_sha256(run)) == RECORDED["pivot_swap", "pivot_swap"]
+
+    def test_no_search_without_a_partner(self, pivot_program, monkeypatch):
+        """Once the swap has fired, each of the 400 data it re-adds meets a
+        rule whose swap partner is gone: no search. The swap's own firing
+        is the run's one search."""
+        searches = []
+        real = machine.enumerate_matches
+
+        def spy(*args, **kwargs):
+            searches.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(machine, "enumerate_matches", spy)
+        data = [f"data({agent}, {d})" for agent in "ab" for d in range(200)]
+        run = run_operational(annotate(pivot_program), parse_store(", ".join(data + ["swap(a, b, 100)"]) + "."))
+        assert run.truncated is None and len(run.state.store) == 400
+        assert len(searches) == 1

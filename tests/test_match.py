@@ -269,6 +269,25 @@ class TestLimit:
         assert [kind for kind, _ in run.trace].count("prop-prop") == 240
         assert len(validated) == 240 * validated_per_firing
 
+    def test_prop_matches_two_atoms_per_firing(self, monkeypatch):
+        """Over 16 distinct p's `pair_prop` fires 240 times from 32
+        propagation goals. Each search matches the active constraint, then
+        the one partner it fires with: a fired instance is skipped before
+        its partner atom is matched. So 2 atom matches per firing, and 1 per
+        goal for the search that finds its history complete; a search that
+        solved every fired partner again would make some 2,500."""
+        calls = []
+        real = match._match_atom
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(match, "_match_atom", spy)
+        run = run_operational(annotate(corpus_program("pair_prop")), parse_store(", ".join(f"p({i})" for i in range(16)) + "."))
+        assert [kind for kind, _ in run.trace].count("prop-prop") == 240
+        assert len(calls) == 2 * 240 + 32
+
 
 class TestOracleEquivalence:
     def test_handpicked_cases(self):
