@@ -103,7 +103,6 @@ from .terms import (
     mset,
     normalize,
     reduce_eval,
-    register_reduce_fn,
     substitute,
     tup,
 )

@@ -10,7 +10,7 @@ pattern is checked against. Propagation rules track per-goal histories of applie
 saturation terminates. The store (`match.LabeledStore`) keeps its index up
 to date per step: a label -> atom map, per-predicate buckets in label order
 for the head-match search, and digest tokens for `state_digest`, which
-joins them once per store and formats each goal once. A head of another
+joins them once per store and formats the top four goals. A head of another
 predicate or arity than the active constraint's costs no search, and
 neither does a rule with an atom head whose predicate has no constraint
 stored: that partner is missing, so the rule cannot fire.
@@ -19,7 +19,6 @@ stored: that partner is missing, so the rule cannot fire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from . import match
@@ -75,9 +74,9 @@ class InitGoal:
     # certificate the soundness checker confirms. Not part of goal identity.
     cause: tuple | None = field(default=None, compare=False)
 
-    @cached_property
+    @property
     def digest(self) -> str:
-        """The goal's text in a state digest, formatted once per goal."""
+        """The goal's text in a state digest."""
         return f"init[{len(self.body)}]"
 
 
@@ -85,7 +84,7 @@ class InitGoal:
 class LazyGoal:
     atom: Atom
 
-    @cached_property
+    @property
     def digest(self) -> str:
         return f"lazy {self.atom.pred}/{self.atom.arity}"
 
@@ -95,7 +94,7 @@ class EagerGoal:
     atom: Atom
     label: int
 
-    @cached_property
+    @property
     def digest(self) -> str:
         return f"eager #{self.label}"
 
@@ -106,7 +105,7 @@ class ActGoal:
     label: int
     occurrence: int
 
-    @cached_property
+    @property
     def digest(self) -> str:
         return f"act #{self.label}@{self.occurrence}"
 
@@ -118,7 +117,7 @@ class PropGoal:
     occurrence: int
     history: frozenset  # `MatchResult.instance_key`s of the instances fired
 
-    @cached_property
+    @property
     def digest(self) -> str:
         return f"prop #{self.label}@{self.occurrence}|{len(self.history)}"
 
@@ -317,9 +316,9 @@ class OpRun:
 
 
 def state_digest(s: ExecutionState) -> str:
-    """The top four goals and the store's tokens. Each piece's text is
-    cached on the immutable goal or store it renders, so a step pays only
-    for what it made new."""
+    """The top four goals and the store's tokens. The tokens' text is cached
+    on the immutable store, so a step that keeps the store pays only for
+    its goals."""
     goals = ";".join(g.digest for g in s.goals[:4])
     more = "..." if len(s.goals) > 4 else ""
     return f"<[{goals}{more}] | {{{s.store.digest}}}>"

@@ -43,6 +43,7 @@ from .terms import (
     MSet,
     MSetUnion,
     PrimApp,
+    REDUCE_FNS,
     Reduce,
     Rel,
     Sym,
@@ -382,6 +383,8 @@ class _Parser:
                 fn_tok = self.peek()
                 if fn_tok.kind != "sym":
                     self.fail("expected a reduce function name")
+                if fn_tok.text not in REDUCE_FNS:
+                    self.fail(f"unknown reduce function {fn_tok.text!r}: expected one of {', '.join(REDUCE_FNS)}")
                 fn = self.next().text
                 self.expect(",")
                 unit = self.parse_term()

@@ -5,6 +5,7 @@ Every machine state erases to a plain store (stored constraints plus the
 constraints still pending in init/lazy goals). A machine transition must
 either leave that erasure unchanged (silent) or be one valid rewriting step;
 anything else is a soundness violation, reported with both stores attached.
+Each transition is judged on its own, a silent one by what it changed.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from typing import Iterable
 from .errors import BudgetError, NonGroundError, RebindError, TermTypeError
 from .machine import (
     ExecutionState,
+    Goal,
     InitGoal,
     LazyGoal,
     OccurrenceProgram,
     StepEvent,
     annotate,
-    initial_state,
     run_operational,
 )
 from .match import MatchResult, matches_exactly, residual_non_match
@@ -31,16 +32,43 @@ from .rules import Atom, Pattern, Program, Rule, canonical_store
 from .terms import eval_guard
 
 
-def correspondence(state: ExecutionState) -> Store:
-    """Store denoted by a machine state: stored constraints (labels dropped)
-    plus init-goal bodies (unfolded) plus lazy-goal atoms."""
-    atoms = list(state.store.by_label.values())
-    for g in state.goals:
+def _pending(goals: Iterable[Goal]) -> list[Atom]:
+    """What `goals` still hold: init-goal bodies (unfolded), lazy-goal atoms."""
+    atoms: list[Atom] = []
+    for g in goals:
         if isinstance(g, InitGoal):
             atoms.extend(unfold_body(g.body))
         elif isinstance(g, LazyGoal):
             atoms.append(g.atom)
-    return canonical_store(atoms)
+    return atoms
+
+
+def correspondence(state: ExecutionState) -> Store:
+    """Store denoted by a machine state: stored constraints (labels dropped)
+    plus the constraints its goals still hold."""
+    return canonical_store([*state.store.by_label.values(), *_pending(state.goals)])
+
+
+def unchanged_erasure(before: ExecutionState, after: ExecutionState) -> bool:
+    """Whether `correspondence(before) == correspondence(after)`, read off
+    what the step changed. A step pops the top goal and pushes goals onto
+    the rest. When the rest is shared, both erasures hold its pending atoms,
+    so they are equal iff the removed atoms plus the popped goal's pending
+    atoms equal the added atoms plus the pushed goals' pending atoms, as
+    multisets. A label keeps its atom while it is held: the store is
+    immutable, and `validate_state`, applied by `run_operational` before
+    any observer sees the step, keeps new labels fresh. A step that changed
+    a goal below the top is erased whole, so nothing is assumed of it."""
+    below = before.goals[1:]
+    top = len(after.goals) - len(below)
+    if top < 0 or after.goals[top:] != below:
+        return correspondence(before) == correspondence(after)
+    out, put = _pending(before.goals[:1]), _pending(after.goals[:top])
+    if after.store is not before.store:
+        old, new = before.store.by_label, after.store.by_label
+        out += [old[n] for n in old.keys() - new.keys()]
+        put += [new[n] for n in new.keys() - old.keys()]
+    return out == put or Counter(out) == Counter(put)
 
 
 SILENT = "silent"
@@ -54,10 +82,6 @@ class StepClass:
     step: AbstractStep | None = None
     before: Store | None = None
     after: Store | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind != VIOLATION
 
 
 # Candidate steps the fallback search may examine for one machine step.
@@ -92,25 +116,18 @@ def _confirm_certificate(
     return astep if successor == cb else None
 
 
-def classify_step(
-    pw: OccurrenceProgram,
-    before: ExecutionState,
-    after: ExecutionState,
-    *,
-    ca: Store | None = None,
-) -> StepClass:
-    """Silent, one abstract step, or a violation. `ca`, when given, is the
-    erasure of `before` (`correspondence(before)`).
+def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: ExecutionState) -> StepClass:
+    """Silent, one abstract step, or a violation: one transition judged.
 
+    A step that leaves the erasure unchanged is silent, and costs what it
+    changed (`unchanged_erasure`). Any other step erases both states whole.
     A firing step carries its certificate on the init goal it pushes; when
     the declarative judgments confirm it, no search is needed. Otherwise the
     step is confirmed by searching every abstract step of the erased store.
     """
-    if ca is None:
-        ca = correspondence(before)
-    cb = correspondence(after)
-    if ca == cb:
+    if unchanged_erasure(before, after):
         return StepClass(SILENT)
+    ca, cb = correspondence(before), correspondence(after)
     top = after.goals[0] if after.goals else None
     if isinstance(top, InitGoal) and top.cause is not None:
         try:
@@ -161,23 +178,17 @@ def check_soundness(
     The run stops at the same limits as `run_operational`: `max_steps`
     steps, and `max_store` constraints when given. A truncated run still
     classifies every step it executed, and `truncated` names the limit hit.
-    Each state is erased once: a step's `before` erasure is the previous
-    step's `after` erasure."""
+    Each step is judged on its own (`classify_step`), so a silent step costs
+    what it changed; the final store is the erasure of the last state."""
     pw = annotate(program)
     report = SoundnessReport()
-    init = tuple(init)
-    erased = correspondence(initial_state(init))
 
     def observe(ev: StepEvent) -> None:
-        nonlocal erased
-        cls = classify_step(pw, ev.before, ev.after, ca=erased)
-        report.classifications.append((ev.index, ev.kind, cls))
-        if cls.kind != SILENT:
-            erased = cls.after
+        report.classifications.append((ev.index, ev.kind, classify_step(pw, ev.before, ev.after)))
 
     run = run_operational(pw, init, max_steps=max_steps, observer=observe, max_store=max_store)
     report.goal_digests = [digest for _, digest in run.trace]
-    report.final_store = erased
+    report.final_store = correspondence(run.state)
     report.truncated = run.truncated
     report.steps = len(run.trace)
     return report

@@ -82,7 +82,7 @@ class TermComp(Term):
 
 @dataclass(frozen=True)
 class Reduce(Term):
-    """Fold a registered binary function over a multiset, seeded with unit."""
+    """Fold one of `REDUCE_FNS` over a multiset, seeded with unit."""
 
     fn: str
     unit: Term
@@ -296,10 +296,6 @@ class Substitution:
 
     def mapping(self) -> dict[str, Term]:
         return dict(self._m)
-
-    def restrict(self, names: Iterable[str]) -> "Substitution":
-        keep = set(names)
-        return Substitution({k: v for k, v in self._m.items() if k in keep})
 
     def key(self) -> tuple:
         return tuple((k, term_key(v)) for k, v in self._m.items())
@@ -637,25 +633,16 @@ def _bind_into(env: dict[str, Term], names: tuple[str, ...], value: Term) -> Non
 
 
 # ---------------------------------------------------------------------------
-# Reduce registry
-
-
-ReduceFn = Callable[[Term, Term], Term]
-
-_REDUCE_FNS: dict[str, ReduceFn] = {}
-
-
-def register_reduce_fn(name: str, fn: ReduceFn) -> None:
-    _REDUCE_FNS[name] = fn
+# Reduce functions
 
 
 def reduce_eval(fn: str, unit: Term, m: MSet) -> Term:
-    """Left fold of a registered function over canonical element order.
+    """Left fold of one of `REDUCE_FNS` over canonical element order.
 
     Associative-commutative functions are order-insensitive; anything else
     is well-defined but depends on the canonical order.
     """
-    f = _REDUCE_FNS.get(fn)
+    f = REDUCE_FNS.get(fn)
     if f is None:
         raise TermTypeError(f"unknown reduce function {fn!r}")
     acc = unit
@@ -684,10 +671,8 @@ def _rf_count(acc: Term, el: Term) -> Term:
     return Int(acc.value + 1)
 
 
-register_reduce_fn("min", _rf_min)
-register_reduce_fn("max", _rf_max)
-register_reduce_fn("sum", _rf_sum)
-register_reduce_fn("count", _rf_count)
+# The functions `reduce(f, unit, m)` may name; the parser rejects any other.
+REDUCE_FNS: dict[str, Callable[[Term, Term], Term]] = dict(min=_rf_min, max=_rf_max, sum=_rf_sum, count=_rf_count)
 
 
 # ---------------------------------------------------------------------------

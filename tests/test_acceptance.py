@@ -4,6 +4,7 @@ and enforcing its stated time budget. Run with `pytest tests/test_acceptance.py 
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from chrcp import corpus_program, corpus_store
@@ -124,13 +125,16 @@ def test_criterion_5_monotone_replay_500():
 
 def test_criterion_6_soundness_1000_seeds(relabel_program):
     with criterion(6, "1000-seed differential soundness sweep + negative control", 300.0):
+        totals = Counter()
         for seed in range(1000):
             program, init = generate_random(seed)
             report = check_soundness(program, init, max_steps=150, max_store=STORE_CAP)
             assert report.ok, f"seed {seed}: {report.violations}"
+            totals.update(report.counts())
+        assert totals == {"silent": 54_355, "abstract": 4_962, "violation": 0}
         with maximality_disabled():
             control = check_soundness(relabel_program, corpus_store("relabel3"))
-        assert len(control.violations) >= 1
+        assert control.counts() == {"silent": 16, "abstract": 1, "violation": 2}
 
 
 def test_criterion_7_saturation_counts():

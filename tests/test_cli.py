@@ -200,6 +200,13 @@ class TestRun:
         assert code == 1
         assert "expected" in err
 
+    def test_unknown_reduce_function_exit_one(self, capsys, tmp_path):
+        f = tmp_path / "foo.chrcp"
+        f.write_text("r @ p(X) <=> q(reduce(foo, 0, X)).\n")
+        code, _, err = run_cli(capsys, "run", str(f))
+        assert code == 1
+        assert "unknown reduce function 'foo'" in err and "Traceback" not in err
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         missing = tmp_path / "nope.chrcp"
         code, _, err = run_cli(capsys, "run", str(missing))

@@ -64,6 +64,11 @@ class TestParseProgram:
             parse_program("r @ p(X \\ q(X)")
         assert exc.value.line == 1
 
+    def test_unknown_reduce_function_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown reduce function 'foo': expected one of min, max, sum, count") as exc:
+            parse_program("r @ p(X) <=> q(reduce(foo, 0, X)).")
+        assert (exc.value.line, exc.value.col) == (1, 23)
+
     def test_scope_error_on_check(self):
         with pytest.raises(ScopeError):
             parse_program("r @ p(X) <=> q(Z).")

@@ -25,7 +25,6 @@ from chrcp.terms import (
     mset,
     normalize,
     reduce_eval,
-    register_reduce_fn,
     substitute,
     term_key,
     tup,
@@ -159,10 +158,6 @@ class TestReduce:
     def test_unknown_function(self):
         with pytest.raises(TermTypeError):
             reduce_eval("nope", Int(0), ints(1))
-
-    def test_registration(self):
-        register_reduce_fn("first_or", lambda acc, el: acc if isinstance(acc, Int) else el)
-        assert reduce_eval("first_or", Sym("none"), ints(7, 9)) == Int(7)
 
 
 ground_terms = st.recursive(
