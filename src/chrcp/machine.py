@@ -5,8 +5,10 @@ order, trying to fire the owning rule anchored at that head. Constraints the
 monotonicity analysis clears are stored lazily (on activation); anything
 that could be absorbed by a comprehension head is stored eagerly at init
 time. `annotate` decides monotonicity once per program: the predicates whose
-every constraint is monotone, and the comprehension heads that any other
-pattern is checked against. Propagation rules track per-goal histories of applied instances so
+every constraint is monotone, the predicates whose every constraint some
+argument-blind comprehension head absorbs (`monotone.argument_blind`), and
+the comprehension heads that any other pattern gets its own verdict
+against. Propagation rules track per-goal histories of applied instances so
 saturation terminates. The store (`match.LabeledStore`) keeps its index up
 to date per step: a label -> atom map, per-predicate buckets in label order
 for the head-match search, and digest tokens for `state_digest`, which
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Union
 from . import match
 from .errors import ChrcpError, recursion_guard
 from .match import LabeledStore, MatchResult, enumerate_matches
-from .monotone import Absorber, absorbers, predicate_report, verdict
+from .monotone import Absorber, absorbers, argument_blind, predicate_report, verdict
 from .rewrite import MAX_STEPS, unfold_body
 from .rules import Atom, Pattern, Program, Rule, normalize_program
 
@@ -39,17 +41,23 @@ class OccurrenceProgram:
     table: dict  # occurrence index -> (normalized rule, head position)
     absorbers: tuple[Absorber, ...]  # comprehension heads with their rule guards
     monotone_preds: frozenset  # (pred, arity) pairs whose generic atom is monotone
+    absorbed_preds: frozenset  # (pred, arity) pairs an argument-blind head absorbs
 
     def lookup(self, i: int):
         """Rule owning occurrence i with the head position, or None."""
         return self.table.get(i)
 
     def monotone(self, pattern: Pattern) -> bool:
-        """A pattern of a monotone predicate is monotone; any other pattern
-        gets its own verdict against the program's comprehension heads."""
+        """A pattern of a monotone predicate is monotone, and an atom of an
+        absorbed predicate is not. Any other pattern, a comprehension
+        pattern with its own guard among them, gets its own verdict against
+        the program's comprehension heads."""
         atom = pattern if isinstance(pattern, Atom) else pattern.atom
-        if (atom.pred, atom.arity) in self.monotone_preds:
+        key = (atom.pred, atom.arity)
+        if key in self.monotone_preds:
             return True
+        if isinstance(pattern, Atom) and key in self.absorbed_preds:
+            return False
         return verdict(self.absorbers, pattern).monotone
 
 
@@ -60,7 +68,9 @@ def annotate(program: Program) -> OccurrenceProgram:
     occurrences = [(rule, pos) for rule in normalized.rules for pos in range(len(rule.heads))]
     table = dict(enumerate(occurrences, 1))
     preds = frozenset(k for k, mono in predicate_report(normalized).items() if mono)
-    return OccurrenceProgram(program, table, absorbers(normalized), preds)
+    heads = absorbers(normalized)
+    absorbed = frozenset((h.atom.pred, h.atom.arity) for _, h, guard in heads if argument_blind(h, guard))
+    return OccurrenceProgram(program, table, heads, preds, absorbed)
 
 
 # ---------------------------------------------------------------------------

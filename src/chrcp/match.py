@@ -12,12 +12,17 @@ Three judgments drive everything:
 `enumerate_matches` is the search procedure: it solves for a substitution
 pattern by pattern (atoms first, the anchored one ahead of its partners, by
 predicate-indexed backtracking, then comprehension absorption with
-branching on contested constraints). Every match it keeps has its
-comprehension blocks validated by `matches_exactly` and, where a constraint
-was deliberately left out, its maximality by `residual_non_match`; an atom
-head's block is its own match by construction. Asked for the `limit` least
-matches, it searches least-first by branch and bound and cuts every branch
-that cannot beat them, before validation. Instances to `exclude` are
+branching on contested constraints). A comprehension head whose guard pins
+an argument position to values the atom heads fixed reads its candidates
+from the store's (predicate, argument position) index instead of walking
+its predicate's bucket; each candidate goes through the head's filter,
+planned once per normalized rule (`rules.CompFilter`). Every match it
+keeps has its comprehension blocks validated by `matches_exactly` and,
+where a constraint was deliberately left out, its maximality by
+`residual_non_match`; an atom head's block is its own match by
+construction. Asked for the `limit` least matches, it searches least-first
+by branch and bound and cuts every branch that cannot beat them, before
+validation. Instances to `exclude` are
 skipped as soon as their key is known: for a rule of atom heads only, when
 the last atom head takes its candidate, before anything is solved.
 """
@@ -33,12 +38,11 @@ from itertools import chain
 from typing import Collection, Iterable, Mapping
 
 from .errors import ChrcpError, NonGroundError, TermTypeError
-from .rules import Atom, Comprehension, Pattern, Rule, normalize_rule
+from .rules import Atom, CompFilter, Comprehension, Conjunct, Pattern, Rule, normalize_rule, plan_conjuncts
 from .terms import (
     Bind,
     ConjComp,
     GTrue,
-    Guard,
     MSet,
     MSetUnion,
     Rel,
@@ -47,14 +51,15 @@ from .terms import (
     TupleTerm,
     Var,
     _bind_into,
+    _eval_ground,
     bind_binders,
-    conjuncts,
     eval_guard_env,
     eval_term,
     guard_vars,
     is_ground,
     norm_loose,
     normalize,
+    pretty_term,
     rel_holds,
     subst_term,
     term_key,
@@ -70,20 +75,26 @@ class LabeledStore:
 
     `entries` are (label, atom) pairs in label order. Beside them the store
     keeps `by_label` (label -> atom), `by_pred` (predicate -> its entries in
-    label order) and `tokens` (each entry's digest token `pred#label`).
-    `add`, `add_many` and `remove` derive the new index from the old one; a
-    store built from `entries` alone indexes them once."""
+    label order), `tokens` (each entry's digest token `pred#label`) and
+    `by_arg`, the argument index: (predicate, argument position) -> value ->
+    the entries whose argument there is that value, in label order.
+    `lookup` builds a (predicate, position) index on its first use. `add`,
+    `add_many` and `remove` derive the new indexes, the argument index's
+    built pairs included, from the old ones; a store built from `entries`
+    alone indexes them once. The store is immutable: building an argument
+    index fills a cache that no other store shares, and changes no answer."""
 
     entries: tuple[StoreItem, ...] = ()
     next_label: int = 1  # labels are never reused, even after deletion
     by_label: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
     by_pred: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
     tokens: tuple = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    by_arg: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.by_label is None:
-            index = _index(self.entries, {}, {}, ())
-            for name, value in zip(("by_label", "by_pred", "tokens"), index):
+            index = _index(self.entries, {}, {}, (), {})
+            for name, value in zip(("by_label", "by_pred", "tokens", "by_arg"), index):
                 object.__setattr__(self, name, value)
 
     def items(self) -> tuple[StoreItem, ...]:
@@ -100,6 +111,14 @@ class LabeledStore:
     def __contains__(self, label: int) -> bool:
         return label in self.by_label
 
+    def lookup(self, pred: str, pos: int, value: Term) -> tuple[StoreItem, ...]:
+        """The entries of `pred` whose argument `pos` is `value`, in label
+        order."""
+        index = self.by_arg.get((pred, pos))
+        if index is None:
+            index = self.by_arg[pred, pos] = _arg_added({}, self.by_pred.get(pred, ()), pos)
+        return index.get(value, ())
+
     def add(self, atom: Atom) -> tuple["LabeledStore", int]:
         store, (n,) = self.add_many((atom,))
         return store, n
@@ -107,7 +126,7 @@ class LabeledStore:
     def add_many(self, atoms: Iterable[Atom]) -> tuple["LabeledStore", list[int]]:
         new = tuple(enumerate(atoms, self.next_label))
         stop = self.next_label + len(new)
-        index = _index(new, self.by_label, self.by_pred, self.tokens)
+        index = _index(new, self.by_label, self.by_pred, self.tokens, self.by_arg)
         return LabeledStore(self.entries + new, stop, *index), list(range(self.next_label, stop))
 
     def remove(self, labels: Iterable[int]) -> "LabeledStore":
@@ -115,20 +134,27 @@ class LabeledStore:
         if not gone:
             return self
         by_label, by_pred = dict(self.by_label), dict(self.by_pred)
-        by_group: dict[str, list[int]] = {}
+        by_group: dict[str, list[StoreItem]] = {}
         for n in gone:
-            by_group.setdefault(by_label.pop(n).pred, []).append(n)
-        for pred, ns in by_group.items():
+            a = by_label.pop(n)
+            by_group.setdefault(a.pred, []).append((n, a))
+        for pred, es in by_group.items():
             bucket = by_pred.pop(pred)
-            if len(ns) < len(bucket):
-                by_pred[pred] = _cut(bucket, [bisect_left(bucket, (n,)) for n in ns])
+            if len(es) < len(bucket):
+                by_pred[pred] = _cut(bucket, [bisect_left(bucket, (n,)) for n, _ in es])
+        by_arg = {
+            (pred, pos): _arg_removed(index, by_group[pred], pos) if pred in by_group else index
+            for (pred, pos), index in self.by_arg.items()
+        }
         at = [bisect_left(self.entries, (n,)) for n in gone]  # (n,) sorts just before (n, atom)
-        return LabeledStore(_cut(self.entries, at), self.next_label, by_label, by_pred, _cut(self.tokens, at))
+        return LabeledStore(_cut(self.entries, at), self.next_label, by_label, by_pred, _cut(self.tokens, at), by_arg)
 
 
-def _index(new: tuple[StoreItem, ...], by_label: dict, by_pred: dict, tokens: tuple) -> tuple[dict, dict, tuple]:
-    """(by_label, by_pred, tokens) of a store indexed by the given three
-    once the label-ordered entries `new` are appended to it."""
+def _index(
+    new: tuple[StoreItem, ...], by_label: dict, by_pred: dict, tokens: tuple, by_arg: dict
+) -> tuple[dict, dict, tuple, dict]:
+    """(by_label, by_pred, tokens, by_arg) of a store indexed by the given
+    four once the label-ordered entries `new` are appended to it."""
     by_label = {**by_label, **dict(new)}
     grouped: dict[str, list[StoreItem]] = {}
     for e in new:
@@ -136,7 +162,41 @@ def _index(new: tuple[StoreItem, ...], by_label: dict, by_pred: dict, tokens: tu
     by_pred = dict(by_pred)
     for pred, es in grouped.items():
         by_pred[pred] = by_pred.get(pred, ()) + tuple(es)
-    return by_label, by_pred, tokens + tuple(f"{a.pred}#{n}" for n, a in new)
+    # A new dict even when empty: each store fills its own on a lookup.
+    by_arg = {
+        (pred, pos): _arg_added(index, grouped[pred], pos) if pred in grouped else index
+        for (pred, pos), index in by_arg.items()
+    }
+    return by_label, by_pred, tokens + tuple(f"{a.pred}#{n}" for n, a in new), by_arg
+
+
+def _arg_added(index: dict, entries: Iterable[StoreItem], pos: int) -> dict:
+    """An argument index (value -> entries) on `pos` with the entries
+    appended; they come after its own in label order. Atoms with no
+    argument `pos` are not indexed."""
+    grouped: dict[Term, list[StoreItem]] = {}
+    for e in entries:
+        args = e[1].args
+        if pos < len(args):
+            grouped.setdefault(args[pos], []).append(e)
+    out = dict(index)
+    for value, es in grouped.items():
+        out[value] = out.get(value, ()) + tuple(es)
+    return out
+
+
+def _arg_removed(index: dict, gone: list[StoreItem], pos: int) -> dict:
+    """An argument index on `pos` without the held entries `gone`, in label order."""
+    grouped: dict[Term, list[int]] = {}
+    for n, a in gone:
+        if pos < len(a.args):
+            grouped.setdefault(a.args[pos], []).append(n)
+    out = dict(index)
+    for value, ns in grouped.items():
+        bucket = out.pop(value)
+        if len(ns) < len(bucket):
+            out[value] = _cut(bucket, [bisect_left(bucket, (n,)) for n in ns])
+    return out
 
 
 def _cut(seq: tuple, positions: list[int]) -> tuple:
@@ -166,14 +226,15 @@ def maximality_disabled():
 # Declarative judgments
 
 
-def comp_element_instance(c: Comprehension, element: Term) -> Atom | None:
+def comp_element_instance(c: Comprehension, plan: tuple[Conjunct, ...], element: Term) -> Atom | None:
     """Atom produced by one domain element, or None if its guard fails.
 
     The guard may determine auxiliary variables (normalized atom arguments),
     so satisfaction is checked by solving rather than plain evaluation.
+    `plan` is the guard, planned once for every element (`plan_conjuncts`).
     """
     env = bind_binders(c.binders, element)
-    solved = _solve_guard(c.guard, env, c.local_vars)
+    solved = _solve_guard(plan, env, c.local_vars)
     if solved is None:
         return None
     try:
@@ -190,10 +251,11 @@ def comp_instances(c: Comprehension) -> list[Atom] | None:
     """
     dom = normalize(c.domain)
     if not isinstance(dom, MSet):
-        raise TermTypeError(f"comprehension domain is not a multiset: {dom!r}")
+        raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
     out: list[Atom] = []
+    plan = plan_conjuncts(c.guard)
     for el in dom.items:
-        inst = comp_element_instance(c, el)
+        inst = comp_element_instance(c, plan, el)
         if inst is None:
             return None
         out.append(inst)
@@ -219,7 +281,7 @@ def subsumes(a: Atom, m: Comprehension) -> Substitution | None:
     env = _match_atom(m.atom, a, {}, solvable=m.local_vars)
     if env is None:
         return None
-    env = _solve_guard(m.guard, env, solvable=m.local_vars)
+    env = _solve_guard(plan_conjuncts(m.guard), env, solvable=m.local_vars)
     if env is None:
         return None
     missing = [b for b in m.binders if b not in env]
@@ -346,19 +408,31 @@ def _match_atom(pattern: Atom, value: Atom, env: dict[str, Term], solvable: froz
 _DEFER = object()
 
 
-def _try_conjunct(c: Guard, env: dict[str, Term], solvable: frozenset[str]):
+def _ground(t: Term, env: Mapping[str, Term]) -> Term:
+    """The value of `t`, whose variables `env` all binds."""
+    return _eval_ground(subst_term(env, t))
+
+
+def _try_conjunct(cj: Conjunct, env: dict[str, Term], solvable: frozenset[str]):
     """Returns (status, env): status in {True, False, _DEFER}. A type error
     in instantiating or evaluating the conjunct fails it, since it would
-    fail every instance."""
+    fail every instance. The plan decides the common cases from variable
+    names alone: a relation that `env` makes ground, and an equation whose
+    one open side is a bare variable, which it solves."""
+    c = cj.guard
     try:
-        if isinstance(c, GTrue):
-            return True, env
         if isinstance(c, Rel):
+            bound = env.keys()
+            if cj.vars <= bound:
+                return rel_holds(c.op, _ground(c.lhs, env), _ground(c.rhs, env)), env
+            for name, other, other_vars in cj.solves:
+                if name not in bound and other_vars <= bound:
+                    if name not in solvable:
+                        return _DEFER, env
+                    return True, {**env, name: _ground(other, env)}
             lhs = norm_loose(subst_term(env, c.lhs))
             rhs = norm_loose(subst_term(env, c.rhs))
             lg, rg = is_ground(lhs), is_ground(rhs)
-            if lg and rg:
-                return rel_holds(c.op, lhs, rhs), env
             if c.op == "=":
                 if lg and _solvable_pattern(rhs, env, solvable):
                     nxt = _solve_eq(rhs, lhs, env, solvable)
@@ -367,6 +441,8 @@ def _try_conjunct(c: Guard, env: dict[str, Term], solvable: frozenset[str]):
                     nxt = _solve_eq(lhs, rhs, env, solvable)
                     return (False, env) if nxt is None else (True, nxt)
             return _DEFER, env
+        if isinstance(c, GTrue):
+            return True, env
         if isinstance(c, Bind):
             value = norm_loose(subst_term(env, c.value))
             if not is_ground(value):
@@ -387,21 +463,22 @@ def _try_conjunct(c: Guard, env: dict[str, Term], solvable: frozenset[str]):
 
 
 def _solve_guard_ex(
-    g: Guard, env: dict[str, Term], solvable: frozenset[str], *, lenient: bool = False
+    plan: tuple[Conjunct, ...], env: dict[str, Term], solvable: frozenset[str], *, lenient: bool = False
 ) -> tuple[dict[str, Term] | None, int]:
-    """Worklist solver over guard conjuncts; returns (env, deferred count).
+    """Worklist solver over a planned guard's conjuncts; returns (env,
+    deferred count).
 
     Strict mode: every conjunct must eventually hold; anything left pending
     fails. Lenient mode: pending conjuncts are dropped (caller re-validates).
     """
-    pending = list(conjuncts(g))
+    pending = plan
     while pending:
         progress = False
-        deferred: list[Guard] = []
-        for c in pending:
-            status, env = _try_conjunct(c, env, solvable)
+        deferred: list[Conjunct] = []
+        for cj in pending:
+            status, env = _try_conjunct(cj, env, solvable)
             if status is _DEFER:
-                deferred.append(c)
+                deferred.append(cj)
             elif status:
                 progress = True
             else:
@@ -415,9 +492,9 @@ def _solve_guard_ex(
 
 
 def _solve_guard(
-    g: Guard, env: dict[str, Term], solvable: frozenset[str], *, lenient: bool = False
+    plan: tuple[Conjunct, ...], env: dict[str, Term], solvable: frozenset[str], *, lenient: bool = False
 ) -> dict[str, Term] | None:
-    return _solve_guard_ex(g, env, solvable, lenient=lenient)[0]
+    return _solve_guard_ex(plan, env, solvable, lenient=lenient)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +553,16 @@ def enumerate_matches(
     must land in that pattern's block. An anchored atom head is matched
     first, with the anchored item as its one candidate, so its bindings are
     known before any partner is tried. The other atom heads take their
-    candidates, and comprehensions absorb, from their predicates' buckets
-    in label order. With a `limit` the search is branch and bound: the
+    candidates from their predicates' buckets in label order. Once the atom
+    heads are matched, each comprehension takes its candidates from its
+    predicate's bucket, or, when its guard pins an argument position to
+    values the substitution already fixes (`_pin`: `Vi = t` with t ground,
+    or `Vi = A` with a top-level `A in T`, T ground), from the store's
+    argument index, one lookup per value, merged in label order. An item
+    is tried only by the comprehensions whose candidates hold it; an item
+    that none holds is skipped, as one that every comprehension rejects,
+    and an anchored item outside its own head's candidates means no match.
+    With a `limit` the search is branch and bound: the
     blocks chosen so far bound every completion from below (a head not
     reached yet has block `()`, below any label; an atom head's block is
     its one label; a comprehension's block only grows by larger labels), in
@@ -506,8 +591,9 @@ def enumerate_matches(
     # A comprehension head's instance key needs its domain, so `finish`
     # checks `exclude` for such a rule; otherwise `match_atoms` does.
     skip_fired = bool(exclude) and not comp_idx
-    by_pred, atoms_by_id = store.by_pred, store.by_label
-    comp_buckets = [by_pred.get(pred, ()) for pred in {heads[i].atom.pred for i in comp_idx}]
+    atoms_by_id = store.by_label
+    filters, guard_plan = rule.filters(), rule.guard_plan()
+    local = {ci: solvable | heads[ci].local_vars for ci in comp_idx}
 
     results: list[MatchResult] = []  # with a limit: the least found so far, sorted
 
@@ -542,14 +628,14 @@ def enumerate_matches(
         for ci in comp_idx:
             comp: Comprehension = heads[ci]  # type: ignore[assignment]
             if not isinstance(comp.domain, Var):
-                raise ChrcpError(f"comprehension head domain {comp.domain!r} is not a variable")
+                raise ChrcpError(f"comprehension head domain {pretty_term(comp.domain)} is not a variable")
             dval = MSet(tuple(sorted(tuples[ci], key=term_key)))
             if comp.domain.name in env:
                 if env[comp.domain.name] != dval:
                     return
             else:
                 env[comp.domain.name] = dval
-        solved = _solve_guard(rule.guard, env, solvable)
+        solved = _solve_guard(guard_plan, env, solvable)
         if solved is None:
             return
         theta = Substitution({k: v for k, v in solved.items() if k in solvable})
@@ -580,7 +666,24 @@ def enumerate_matches(
             results.sort(key=lambda m: m.blocks)
             del results[limit:]
 
-    def assign_comps(remaining: list[StoreItem], env: dict[str, Term], chosen: dict[int, int]) -> None:
+    def assign_comps(env: dict[str, Term], chosen: dict[int, int]) -> None:
+        # Which comprehensions try each item, by label. An item outside a
+        # comprehension's candidates fails its pinning conjunct under every
+        # extension of `env`, like an item `_absorb_lenient` rejects, so it
+        # is never a risky stay and the residual test in `finish` may skip
+        # it: maximality stays exact. An anchored item outside its own
+        # head's candidates cannot land in that head's block.
+        used = set(chosen.values())
+        tries: dict[int, list[int]] = {}
+        for ci in comp_idx:
+            for n, _ in _candidates(store, heads[ci].atom.pred, filters[ci], env, local[ci]):  # type: ignore[union-attr]
+                if n not in used:
+                    tries.setdefault(n, []).append(ci)
+        if anchor is not None and anchor[0] in comp_idx:
+            if anchor[0] not in tries.get(anchor[1], ()):
+                return
+            tries[anchor[1]] = [anchor[0]]
+        remaining = sorted(tries)
         # The items each comprehension absorbed so far (labels, binder
         # tuples) and the items deliberately left out, all in label order.
         labels: dict[int, list[int]] = {ci: [] for ci in comp_idx}
@@ -606,17 +709,16 @@ def enumerate_matches(
                 if cut(chosen, labels):
                     continue
             while pos < len(remaining):
-                item_id, atom = remaining[pos]
+                item_id = remaining[pos]
+                atom = atoms_by_id[item_id]
                 pos += 1
                 anchored_here = anchor is not None and anchor[1] == item_id
-                candidates: list[tuple[int, dict[str, Term], Term, bool]] = []
-                for ci in comp_idx:
-                    if anchored_here and anchor[0] != ci:
-                        continue
-                    hit = _absorb_lenient(heads[ci], atom, env, solvable)  # type: ignore[arg-type]
+                hits: list[tuple[int, dict[str, Term], Term, bool]] = []
+                for ci in tries[item_id]:
+                    hit = _absorb_lenient(heads[ci], filters[ci], atom, env, local[ci])  # type: ignore[arg-type]
                     if hit is not None:
-                        candidates.append((ci,) + hit)
-                if not candidates:
+                        hits.append((ci,) + hit)
+                if not hits:
                     if anchored_here:
                         break  # the anchored item must be absorbed
                     continue
@@ -624,17 +726,17 @@ def enumerate_matches(
                 # guard checks absorbs the item under any final substitution, so
                 # leaving it unassigned would always fail the residual test.
                 may_stay = not anchored_here and not (
-                    maximal and any(clean for _, _, _, clean in candidates)
+                    maximal and any(clean for _, _, _, clean in hits)
                 )
-                if len(candidates) == 1 and not may_stay:
-                    ci, env, btuple, _ = candidates[0]
+                if len(hits) == 1 and not may_stay:
+                    ci, env, btuple, _ = hits[0]
                     labels[ci].append(item_id)
                     tuples[ci].append(btuple)
                     continue
                 # The stack pops the last choice first, so the least come
                 # first: staying out, then the later comprehensions.
                 marks = tuple(len(labels[ci]) for ci in comp_idx) + (len(stays),)
-                stack.extend((pos, env2, marks, (item_id, ci, btuple)) for ci, env2, btuple, _ in candidates)
+                stack.extend((pos, env2, marks, (item_id, ci, btuple)) for ci, env2, btuple, _ in hits)
                 if may_stay:
                     stack.append((pos, env, marks, (item_id, None, None)))
                 break
@@ -650,18 +752,17 @@ def enumerate_matches(
 
     def match_atoms(pending: list[int], env: dict[str, Term], chosen: dict[int, int]) -> None:
         if not pending:
-            used = set(chosen.values())
-            remaining = [it for bucket in comp_buckets for it in bucket if it[0] not in used]
-            if len(comp_buckets) > 1:
-                remaining.sort()  # merge the buckets in label order (labels are distinct)
-            assign_comps(remaining, env, chosen)
+            if comp_idx:
+                assign_comps(env, chosen)
+            else:
+                finish(env, chosen, {}, {}, [])
             return
         hi = pending[0]
         pat: Atom = heads[hi]  # type: ignore[assignment]
         if anchor is not None and anchor[0] == hi:
             cands = ((anchor[1], atoms_by_id[anchor[1]]),)
         else:
-            cands = by_pred.get(pat.pred, ())
+            cands = _atom_candidates(store, pat, env)
         last = len(pending) == 1
         for item_id, atom in cands:
             if item_id in chosen.values():
@@ -676,7 +777,7 @@ def enumerate_matches(
             env2 = _match_atom(pat, atom, env, solvable)
             if env2 is None:
                 continue
-            lenv = _solve_guard(rule.guard, env2, solvable, lenient=True)
+            lenv = _solve_guard(guard_plan, env2, solvable, lenient=True)
             if lenv is None:
                 continue
             match_atoms(pending[1:], env2, chosen2)
@@ -686,10 +787,68 @@ def enumerate_matches(
     return results
 
 
+def _atom_candidates(store: LabeledStore, pat: Atom, env: dict[str, Term]) -> tuple[StoreItem, ...]:
+    """The items an atom head of a normalized rule tries under `env`, in
+    label order: where one of its argument variables is bound, the
+    argument index's entries for that value (an atom outside them fails
+    that argument in `_match_atom`), else its predicate's bucket."""
+    for pos, arg in enumerate(pat.args):
+        if isinstance(arg, Var) and arg.name in env:
+            return store.lookup(pat.pred, pos, env[arg.name])
+    return store.by_pred.get(pat.pred, ())
+
+
+def _candidates(
+    store: LabeledStore, pred: str, f: CompFilter, env: dict[str, Term], solvable: frozenset[str]
+) -> tuple[StoreItem, ...]:
+    """The items a comprehension head of predicate `pred` and filter `f`
+    tries under `env`, in label order: the predicate's bucket, or, where
+    the guard pins an argument position (`_pin`), the argument index's
+    entries for the values pinned, one lookup per value, merged."""
+    pin = _pin(f, env, solvable)
+    if pin is None:
+        return store.by_pred.get(pred, ())
+    pos, values = pin
+    if len(values) == 1:
+        return store.lookup(pred, pos, values[0])
+    return tuple(sorted(chain.from_iterable(store.lookup(pred, pos, v) for v in values)))
+
+
+def _pin(f: CompFilter, env: dict[str, Term], solvable: frozenset[str]) -> tuple[int, tuple[Term, ...]] | None:
+    """An argument position i that the filter's guard pins under `env`, with
+    the values argument i can take, or None when no position is pinned. The
+    first `Vi = t` in the guard decides:
+
+    * t is ground under `env`: the one value of t;
+    * t is an unbound variable A with a top-level `A in T`, T ground under
+      `env`: the distinct elements of T, none if T is not a multiset.
+
+    An atom whose argument i is none of them is rejected by `_absorb_lenient`
+    under `env` and under every extension of it: `Vi = t` then compares
+    argument i with the value of t, or binds A to it, and `A in T` fails. A
+    t or T that raises a type error fails its conjunct for every atom, so
+    no value is left."""
+    bound = env.keys()
+    for pos, t, t_vars in f.pins:
+        try:
+            if t_vars <= bound:
+                return pos, (_ground(t, env),)
+            if isinstance(t, Var) and t.name in f.members and t.name in solvable:
+                dom, dom_vars = f.members[t.name]
+                if dom_vars <= bound:
+                    value = _ground(dom, env)
+                    return pos, tuple(dict.fromkeys(value.items)) if isinstance(value, MSet) else ()
+        except TermTypeError:
+            return pos, ()
+    return None
+
+
 def _absorb_lenient(
-    comp: Comprehension, atom: Atom, env: dict[str, Term], solvable: frozenset[str]
+    comp: Comprehension, f: CompFilter, atom: Atom, env: dict[str, Term], solvable: frozenset[str]
 ) -> tuple[dict[str, Term], Term, bool] | None:
-    """Can `atom` plausibly join this comprehension's block under env?
+    """Can `atom`, of the comprehension's predicate, plausibly join its block
+    under env? `f` is the comprehension's filter and `solvable` holds the
+    rule's variables and the comprehension's own.
 
     Returns (env with rule-variable extensions, collected binder tuple,
     clean) or None. `clean` means the absorption neither extended the
@@ -697,11 +856,11 @@ def _absorb_lenient(
     extension of env. Deferred conjuncts are allowed — the final validation
     rechecks every block declaratively.
     """
-    local = solvable | comp.local_vars
-    env2 = _match_atom(comp.atom, atom, dict(env), local)
-    if env2 is None:
+    if atom.arity != len(f.args):
         return None
-    env2, n_deferred = _solve_guard_ex(comp.guard, env2, local, lenient=True)
+    env2 = dict(env)
+    env2.update(zip(f.args, atom.args))  # the arguments are distinct fresh variables
+    env2, n_deferred = _solve_guard_ex(f.conjuncts, env2, solvable, lenient=True)
     if env2 is None:
         return None
     vals = [env2.get(b) for b in comp.binders]
@@ -710,5 +869,5 @@ def _absorb_lenient(
     btuple: Term = vals[0] if len(vals) == 1 else TupleTerm(tuple(vals))  # type: ignore[arg-type]
     for name in comp.binders + comp.aux:
         env2.pop(name, None)
-    clean = n_deferred == 0 and set(env2) == set(env)
+    clean = n_deferred == 0 and env2.keys() == env.keys()
     return env2, btuple, clean

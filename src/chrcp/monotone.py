@@ -13,7 +13,10 @@ variables counts as possibly satisfiable. That can only demote constraints
 to eager storage, never the reverse, so it is safe.
 An instance of a pattern unifies with no more heads and grounds no fewer
 conjuncts, so an instance of a monotone pattern is monotone too: a predicate
-whose generic atom is monotone needs no verdict per constraint.
+whose generic atom is monotone needs no verdict per constraint. Conversely,
+a head whose every guard conjunct reads a variable besides its arguments
+(`argument_blind`) unifies with every atom of its predicate and arity, so
+those atoms need no verdict either.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .terms import (
     Rel,
     Var,
     conjuncts,
+    guard_vars,
     is_ground,
     normalize,
     rel_holds,
@@ -78,6 +82,20 @@ def unifiable(pattern: Pattern, head: Comprehension, rule_guard: Guard) -> bool:
 
 
 Absorber = tuple[str, Comprehension, Guard]
+
+
+def argument_blind(head: Comprehension, rule_guard: Guard) -> bool:
+    """Whether `unifiable(a, head, rule_guard)` holds for every atom `a` of
+    the head's predicate and arity: every conjunct of the head's guard and
+    of `rule_guard` has a free variable besides the head's arguments, so no
+    atom grounds it and `unifiable` evaluates none. A ground conjunct is
+    evaluated whatever the atom, so a head with one is not blind, and
+    neither is a head with an argument that is not a variable (`absorbers`
+    gives none)."""
+    if not all(isinstance(v, Var) for v in head.atom.args):
+        return False
+    args = frozenset(v.name for v in head.atom.args)  # type: ignore[attr-defined]
+    return all(guard_vars(c) - args for g in (head.guard, rule_guard) for c in conjuncts(g))
 
 
 def absorbers(program: Program) -> tuple[Absorber, ...]:

@@ -33,7 +33,6 @@ from .rules import (
 from .terms import (
     Bind,
     Bool,
-    Conj,
     ConjComp,
     GTrue,
     GUARD_TRUE,
@@ -53,6 +52,9 @@ from .terms import (
     Var,
     conj,
     conjuncts,
+    pretty_binders,
+    pretty_guard,
+    pretty_term,
 )
 
 
@@ -528,70 +530,6 @@ def load_store(path: str | Path) -> tuple[Atom, ...]:
 # Pretty printer (round-trips through the parser)
 
 
-def pretty_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Int):
-        return str(t.value)
-    if isinstance(t, Inf):
-        return "infty"
-    if isinstance(t, Bool):
-        return "true" if t.value else "false"
-    if isinstance(t, Sym):
-        return t.name
-    if isinstance(t, TupleTerm):
-        return "(" + ", ".join(pretty_term(i) for i in t.items) + ")"
-    if isinstance(t, MSet):
-        return "[" + ", ".join(pretty_term(i) for i in t.items) + "]"
-    if isinstance(t, MSetUnion):
-        if isinstance(t.left, MSet):
-            items = ", ".join(pretty_term(i) for i in t.left.items)
-            return f"[{items} | {pretty_term(t.right)}]"
-        raise ValueError(f"no concrete syntax for union {t!r}")
-    if isinstance(t, TermComp):
-        inner = pretty_term(t.template)
-        if not isinstance(t.guard, GTrue):
-            inner += " | " + pretty_guard(t.guard)
-        return "{" + inner + "}" + _binder_clause(t.binders, t.domain)
-    if isinstance(t, Reduce):
-        return f"reduce({t.fn}, {pretty_term(t.unit)}, {pretty_term(t.domain)})"
-    if isinstance(t, PrimApp):
-        if t.op in ("min", "max"):
-            return f"{t.op}({pretty_term(t.args[0])}, {pretty_term(t.args[1])})"
-        if t.op in ("+", "-", "*"):
-            lhs, rhs = (_paren_arith(a) for a in t.args)
-            return f"{lhs} {t.op} {rhs}"
-        return f"({pretty_term(t.args[0])} {t.op} {pretty_term(t.args[1])})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _paren_arith(t: Term) -> str:
-    s = pretty_term(t)
-    if isinstance(t, PrimApp) and t.op in ("+", "-", "*"):
-        return f"({s})"
-    return s
-
-
-def _binder_clause(binders: tuple[str, ...], domain: Term) -> str:
-    return "#{" + ", ".join(binders) + " in " + pretty_term(domain) + "}"
-
-
-def pretty_guard(g: Guard) -> str:
-    if isinstance(g, GTrue):
-        return "true"
-    if isinstance(g, Rel):
-        op = "in" if g.op == "in" else g.op
-        return f"{pretty_term(g.lhs)} {op} {pretty_term(g.rhs)}"
-    if isinstance(g, Bind):
-        lhs = g.vars[0] if len(g.vars) == 1 else "(" + ", ".join(g.vars) + ")"
-        return f"{lhs} = {pretty_term(g.value)}"
-    if isinstance(g, Conj):
-        return ", ".join(pretty_guard(i) for i in g.items)
-    if isinstance(g, ConjComp):
-        return "{" + pretty_guard(g.body) + "}" + _binder_clause(g.binders, g.domain)
-    raise TypeError(f"not a guard: {g!r}")
-
-
 def pretty_pattern(p: Pattern) -> str:
     if isinstance(p, Atom):
         if not p.args:
@@ -600,7 +538,7 @@ def pretty_pattern(p: Pattern) -> str:
     inner = pretty_pattern(p.atom)
     if not isinstance(p.guard, GTrue):
         inner += " | " + pretty_guard(p.guard)
-    return "{" + inner + "}" + _binder_clause(p.binders, p.domain)
+    return "{" + inner + "}" + pretty_binders(p.binders, p.domain)
 
 
 def pretty_rule(r: Rule) -> str:

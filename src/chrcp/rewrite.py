@@ -24,8 +24,9 @@ from .rules import (
     canonical_store,
     ground_atom,
     normalize_program,
+    plan_conjuncts,
 )
-from .terms import MSet, Substitution, normalize
+from .terms import MSet, Substitution, normalize, pretty_term
 
 Store = tuple[Atom, ...]
 
@@ -52,9 +53,10 @@ def unfold_body(patterns: Iterable[Pattern]) -> list[Atom]:
         else:
             dom = normalize(p.domain)
             if not isinstance(dom, MSet):
-                raise NonGroundError(f"body comprehension domain {p.domain!r} is not a multiset")
+                raise NonGroundError(f"body comprehension domain {pretty_term(p.domain)} is not a multiset")
+            plan = plan_conjuncts(p.guard)
             for el in dom.items:
-                inst = comp_element_instance(p, el)
+                inst = comp_element_instance(p, plan, el)
                 if inst is not None:
                     out.append(ground_atom(inst))
     return out

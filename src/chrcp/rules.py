@@ -5,6 +5,8 @@ A rule keeps its propagated (retained) and simplified (consumed) head
 patterns apart.  `normalize_rule` rewrites every head atom so its arguments
 are fresh variables, pushing the original argument terms into equality
 guards; matching then only ever binds variables against store values.
+A normalized rule plans its guard and each comprehension head's filter
+once (`Conjunct`, `CompFilter`), and every match search reads the plans.
 """
 
 from __future__ import annotations
@@ -110,6 +112,76 @@ def patterns_free_vars(ps: Iterable[Pattern]) -> frozenset[str]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Plans read by the match search
+
+
+class Conjunct:
+    """A guard conjunct planned for the match solver: the conjunct, its free
+    variables, and `solves`, one (Y, t, free variables of t) per side of an
+    equation that is a bare variable Y not occurring in the other side t,
+    the right side first. Y is solved once t is ground. Plans are only
+    read, never compared, so they are plain classes, which, unlike a
+    dataclass, cost nothing to define at import."""
+
+    __slots__ = ("guard", "vars", "solves")
+
+    def __init__(self, guard: Guard, vars: frozenset[str], solves: tuple[tuple[str, Term, frozenset[str]], ...]):
+        self.guard, self.vars, self.solves = guard, vars, solves
+
+
+def plan_conjuncts(g: Guard) -> tuple[Conjunct, ...]:
+    """The top-level conjuncts of `g`, flattened once, each planned."""
+    out: list[Conjunct] = []
+    for c in conjuncts(g):
+        solves: tuple = ()
+        if isinstance(c, Rel) and c.op == "=":
+            sides = ((c.rhs, c.lhs), (c.lhs, c.rhs))
+            solves = tuple(
+                (y.name, t, term_vars(t)) for y, t in sides if isinstance(y, Var) and y.name not in term_vars(t)
+            )
+        out.append(Conjunct(c, guard_vars(c), solves))
+    return tuple(out)
+
+
+class CompFilter:
+    """A normalized comprehension head's filter, planned once per rule.
+
+    `args` names the head's argument variables by position (`normalize_rule`
+    makes each argument a fresh variable Vi). `conjuncts` is its guard,
+    planned. `pins` holds (i, t, free variables of t) for each conjunct
+    `Vi = t`, and `members` maps A to (T, free variables of T) for the first
+    top-level conjunct `A in T`: the search reads from them which values an
+    argument position can take (`match._pin`)."""
+
+    __slots__ = ("args", "conjuncts", "pins", "members")
+
+    def __init__(
+        self,
+        args: tuple[str, ...],
+        conjuncts: tuple[Conjunct, ...],
+        pins: tuple[tuple[int, Term, frozenset[str]], ...],
+        members: dict[str, tuple[Term, frozenset[str]]],
+    ):
+        self.args, self.conjuncts, self.pins, self.members = args, conjuncts, pins, members
+
+
+def comp_filter(c: Comprehension) -> CompFilter:
+    """The filter of `c`, a comprehension head of a normalized rule."""
+    args = tuple(a.name for a in c.atom.args)  # type: ignore[attr-defined]
+    position = {name: i for i, name in enumerate(args)}
+    planned = plan_conjuncts(c.guard)
+    pins, members = [], {}
+    for cj in planned:
+        g = cj.guard
+        if isinstance(g, Rel) and isinstance(g.lhs, Var):
+            if g.op == "=" and g.lhs.name in position:
+                pins.append((position[g.lhs.name], g.rhs, term_vars(g.rhs)))
+            elif g.op == "in":
+                members.setdefault(g.lhs.name, (g.rhs, term_vars(g.rhs)))
+    return CompFilter(args, planned, tuple(pins), members)
+
+
 @dataclass(frozen=True)
 class Rule:
     name: str
@@ -118,15 +190,25 @@ class Rule:
     guard: Guard
     body: tuple[Pattern, ...]
     normalized: bool = field(default=False, compare=False)
-    # Every match search reads these, so they are computed once per rule.
+    # Every match search reads these, so they are computed once per rule;
+    # the plans only for a normalized rule, the only kind searched.
     _head_vars: frozenset = field(init=False, compare=False, repr=False)
     _rule_vars: frozenset = field(init=False, compare=False, repr=False)
+    _guard_plan: tuple = field(init=False, compare=False, repr=False)
+    _filters: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         head = patterns_free_vars(self.heads)
         rule = head | guard_vars(self.guard) | frozenset(guard_bind_vars(self.guard))
         object.__setattr__(self, "_head_vars", head)
         object.__setattr__(self, "_rule_vars", rule | patterns_free_vars(self.body))
+        plan: tuple = ()
+        filters: tuple = ()
+        if self.normalized:
+            plan = plan_conjuncts(self.guard)
+            filters = tuple(comp_filter(h) if isinstance(h, Comprehension) else None for h in self.heads)
+        object.__setattr__(self, "_guard_plan", plan)
+        object.__setattr__(self, "_filters", filters)
 
     @property
     def heads(self) -> tuple[Pattern, ...]:
@@ -143,6 +225,15 @@ class Rule:
     def rule_vars(self) -> frozenset[str]:
         """Free variables of the heads, guard and body, and the guard's bound ones."""
         return self._rule_vars
+
+    def guard_plan(self) -> tuple[Conjunct, ...]:
+        """The guard, planned (`plan_conjuncts`); a normalized rule's only."""
+        return self._guard_plan
+
+    def filters(self) -> tuple[CompFilter | None, ...]:
+        """Per head, its `CompFilter`, or None for an atom head; a normalized
+        rule's only."""
+        return self._filters
 
 
 @dataclass(frozen=True)

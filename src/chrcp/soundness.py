@@ -49,26 +49,44 @@ def correspondence(state: ExecutionState) -> Store:
     return canonical_store([*state.store.by_label.values(), *_pending(state.goals)])
 
 
+def _pushed(before: ExecutionState, after: ExecutionState) -> int | None:
+    """How many goals the step pushed onto the rest of `before`'s stack, or
+    None when it changed a goal below the top."""
+    below = before.goals[1:]
+    top = len(after.goals) - len(below)
+    return top if top >= 0 and after.goals[top:] == below else None
+
+
+def _same_change(before: ExecutionState, after: ExecutionState, popped: list[Atom], pushed: list[Atom]) -> bool:
+    """Whether the step's removed atoms plus the popped goal's pending atoms
+    `popped` equal its added atoms plus the pushed goals' pending atoms
+    `pushed`, as multisets. A label keeps its atom while it is held: the
+    store is immutable, and `validate_state`, applied by `run_operational`
+    before any observer sees the step, keeps new labels fresh, so the added
+    labels are those from `before.store.next_label` on. The two stores'
+    sizes then tell whether any label was removed, and only then are their
+    labels compared."""
+    out, put = list(popped), list(pushed)
+    old, new = before.store, after.store
+    if new is not old:
+        added = range(old.next_label, new.next_label)
+        put += [new.by_label[n] for n in added]
+        if len(new) - len(added) < len(old):
+            out += [old.by_label[n] for n in old.by_label.keys() - new.by_label.keys()]
+    return out == put or Counter(out) == Counter(put)
+
+
 def unchanged_erasure(before: ExecutionState, after: ExecutionState) -> bool:
     """Whether `correspondence(before) == correspondence(after)`, read off
     what the step changed. A step pops the top goal and pushes goals onto
     the rest. When the rest is shared, both erasures hold its pending atoms,
-    so they are equal iff the removed atoms plus the popped goal's pending
-    atoms equal the added atoms plus the pushed goals' pending atoms, as
-    multisets. A label keeps its atom while it is held: the store is
-    immutable, and `validate_state`, applied by `run_operational` before
-    any observer sees the step, keeps new labels fresh. A step that changed
-    a goal below the top is erased whole, so nothing is assumed of it."""
-    below = before.goals[1:]
-    top = len(after.goals) - len(below)
-    if top < 0 or after.goals[top:] != below:
+    so they are equal iff the popped and pushed goals and the removed and
+    added labels balance (`_same_change`). A step that changed a goal below
+    the top is erased whole, so nothing is assumed of it."""
+    top = _pushed(before, after)
+    if top is None:
         return correspondence(before) == correspondence(after)
-    out, put = _pending(before.goals[:1]), _pending(after.goals[:top])
-    if after.store is not before.store:
-        old, new = before.store.by_label, after.store.by_label
-        out += [old[n] for n in old.keys() - new.keys()]
-        put += [new[n] for n in new.keys() - old.keys()]
-    return out == put or Counter(out) == Counter(put)
+    return _same_change(before, after, _pending(before.goals[:1]), _pending(after.goals[:top]))
 
 
 SILENT = "silent"
@@ -120,18 +138,28 @@ def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: Executio
     """Silent, one abstract step, or a violation: one transition judged.
 
     A step that leaves the erasure unchanged is silent, and costs what it
-    changed (`unchanged_erasure`). Any other step erases both states whole.
-    A firing step carries its certificate on the init goal it pushes; when
+    changed (`unchanged_erasure`). Any other step erases both states whole,
+    from the same pending atoms: each goal's body is unfolded once. A
+    firing step carries its certificate on the init goal it pushes; when
     the declarative judgments confirm it, no search is needed. Otherwise the
     step is confirmed by searching every abstract step of the erased store.
     """
-    if unchanged_erasure(before, after):
-        return StepClass(SILENT)
-    ca, cb = correspondence(before), correspondence(after)
-    top = after.goals[0] if after.goals else None
-    if isinstance(top, InitGoal) and top.cause is not None:
+    top = _pushed(before, after)
+    if top is None:
+        ca, cb = correspondence(before), correspondence(after)
+        if ca == cb:
+            return StepClass(SILENT)
+    else:
+        popped, pushed = _pending(before.goals[:1]), _pending(after.goals[:top])
+        if _same_change(before, after, popped, pushed):
+            return StepClass(SILENT)
+        rest = _pending(after.goals[top:])
+        ca = canonical_store([*before.store.by_label.values(), *popped, *rest])
+        cb = canonical_store([*after.store.by_label.values(), *pushed, *rest])
+    first = after.goals[0] if after.goals else None
+    if isinstance(first, InitGoal) and first.cause is not None:
         try:
-            astep = _confirm_certificate(*top.cause, before.store.by_label, ca, cb)
+            astep = _confirm_certificate(*first.cause, before.store.by_label, ca, cb)
         except (TermTypeError, NonGroundError, RebindError):
             astep = None
         if astep is not None:

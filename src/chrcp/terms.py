@@ -435,7 +435,7 @@ def normalize(t: Term) -> Term:
     """Canonical value of a ground term."""
     fv = term_vars(t)
     if fv:
-        raise NonGroundError(f"free variables {sorted(fv)} in {t!r}")
+        raise NonGroundError(f"free variables {', '.join(sorted(fv))} in {pretty_term(t)}")
     return _eval_ground(t)
 
 
@@ -482,7 +482,7 @@ def bind_binders(binders: tuple[str, ...], element: Term) -> dict[str, Term]:
         return {binders[0]: element}
     if not isinstance(element, TupleTerm) or len(element.items) != len(binders):
         raise TermTypeError(
-            f"domain element {element!r} does not fit binders {binders}"
+            f"domain element {pretty_term(element)} does not fit binders {', '.join(binders)}"
         )
     return dict(zip(binders, element.items))
 
@@ -498,12 +498,12 @@ def _eval_ground(t: Term) -> Term:
         left = _eval_ground(t.left)
         right = _eval_ground(t.right)
         if not isinstance(left, MSet) or not isinstance(right, MSet):
-            raise TermTypeError(f"multiset union of non-multisets: {t!r}")
+            raise TermTypeError(f"multiset union of non-multisets: {pretty_term(t)}")
         return MSet(tuple(sorted(left.items + right.items, key=term_key)))
     if isinstance(t, TermComp):
         dom = _eval_ground(t.domain)
         if not isinstance(dom, MSet):
-            raise TermTypeError(f"comprehension domain is not a multiset: {dom!r}")
+            raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
         out: list[Term] = []
         for el in dom.items:
             env = bind_binders(t.binders, el)
@@ -514,7 +514,7 @@ def _eval_ground(t: Term) -> Term:
         unit = _eval_ground(t.unit)
         dom = _eval_ground(t.domain)
         if not isinstance(dom, MSet):
-            raise TermTypeError(f"reduce domain is not a multiset: {dom!r}")
+            raise TermTypeError(f"reduce domain is not a multiset: {pretty_term(dom)}")
         return reduce_eval(t.fn, unit, dom)
     if isinstance(t, PrimApp):
         return apply_prim(t.op, tuple(_eval_ground(a) for a in t.args))
@@ -528,7 +528,7 @@ def _num(t: Term) -> float | int:
         return t.value
     if isinstance(t, Inf):
         return math.inf
-    raise TermTypeError(f"not a number: {t!r}")
+    raise TermTypeError(f"not a number: {pretty_term(t)}")
 
 
 def num_cmp(a: Term, b: Term) -> int:
@@ -540,7 +540,7 @@ def num_cmp(a: Term, b: Term) -> int:
 def apply_prim(op: str, args: tuple[Term, ...]) -> Term:
     if op in ("+", "-", "*"):
         if len(args) != 2 or not all(isinstance(a, Int) for a in args):
-            raise TermTypeError(f"{op} expects two integers, got {args!r}")
+            raise TermTypeError(f"{op} expects two integers, got {', '.join(map(pretty_term, args))}")
         a, b = args[0].value, args[1].value  # type: ignore[union-attr]
         return Int(a + b if op == "+" else a - b if op == "-" else a * b)
     if op in ("min", "max"):
@@ -565,7 +565,7 @@ def rel_holds(op: str, lhs: Term, rhs: Term) -> bool:
         return lhs != rhs
     if op == "in":
         if not isinstance(rhs, MSet):
-            raise TermTypeError(f"'in' needs a multiset, got {rhs!r}")
+            raise TermTypeError(f"'in' needs a multiset, got {pretty_term(rhs)}")
         return lhs in rhs.items
     c = num_cmp(lhs, rhs)
     if op == "<":
@@ -608,7 +608,7 @@ def eval_guard_env(g: Guard, env: dict[str, Term]) -> tuple[bool, dict[str, Term
     if isinstance(g, ConjComp):
         dom = eval_term(g.domain, env)
         if not isinstance(dom, MSet):
-            raise TermTypeError(f"comprehension domain is not a multiset: {dom!r}")
+            raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
         for el in dom.items:
             local = dict(env)
             local.update(bind_binders(g.binders, el))
@@ -624,7 +624,7 @@ def _bind_into(env: dict[str, Term], names: tuple[str, ...], value: Term) -> Non
         pairs = [(names[0], value)]
     else:
         if not isinstance(value, TupleTerm) or len(value.items) != len(names):
-            raise TermTypeError(f"cannot destructure {value!r} into {names}")
+            raise TermTypeError(f"cannot destructure {pretty_term(value)} into {', '.join(names)}")
         pairs = list(zip(names, value.items))
     for name, v in pairs:
         if name in env:
@@ -661,18 +661,87 @@ def _rf_max(acc: Term, el: Term) -> Term:
 
 def _rf_sum(acc: Term, el: Term) -> Term:
     if not isinstance(acc, Int) or not isinstance(el, Int):
-        raise TermTypeError(f"sum expects integers, got {acc!r}, {el!r}")
+        raise TermTypeError(f"sum expects integers, got {pretty_term(acc)}, {pretty_term(el)}")
     return Int(acc.value + el.value)
 
 
 def _rf_count(acc: Term, el: Term) -> Term:
     if not isinstance(acc, Int):
-        raise TermTypeError(f"count expects an integer seed, got {acc!r}")
+        raise TermTypeError(f"count expects an integer seed, got {pretty_term(acc)}")
     return Int(acc.value + 1)
 
 
 # The functions `reduce(f, unit, m)` may name; the parser rejects any other.
 REDUCE_FNS: dict[str, Callable[[Term, Term], Term]] = dict(min=_rf_min, max=_rf_max, sum=_rf_sum, count=_rf_count)
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax (the parser's pretty printer and error messages use it)
+
+
+def pretty_term(t: Term) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Int):
+        return str(t.value)
+    if isinstance(t, Inf):
+        return "infty"
+    if isinstance(t, Bool):
+        return "true" if t.value else "false"
+    if isinstance(t, Sym):
+        return t.name
+    if isinstance(t, TupleTerm):
+        return "(" + ", ".join(pretty_term(i) for i in t.items) + ")"
+    if isinstance(t, MSet):
+        return "[" + ", ".join(pretty_term(i) for i in t.items) + "]"
+    if isinstance(t, MSetUnion):
+        if isinstance(t.left, MSet):
+            items = ", ".join(pretty_term(i) for i in t.left.items)
+            return f"[{items} | {pretty_term(t.right)}]"
+        raise ValueError(f"no concrete syntax for union {t!r}")
+    if isinstance(t, TermComp):
+        inner = pretty_term(t.template)
+        if not isinstance(t.guard, GTrue):
+            inner += " | " + pretty_guard(t.guard)
+        return "{" + inner + "}" + pretty_binders(t.binders, t.domain)
+    if isinstance(t, Reduce):
+        return f"reduce({t.fn}, {pretty_term(t.unit)}, {pretty_term(t.domain)})"
+    if isinstance(t, PrimApp):
+        if t.op in ("min", "max"):
+            return f"{t.op}({pretty_term(t.args[0])}, {pretty_term(t.args[1])})"
+        if t.op in ("+", "-", "*"):
+            lhs, rhs = (_paren_arith(a) for a in t.args)
+            return f"{lhs} {t.op} {rhs}"
+        return f"({pretty_term(t.args[0])} {t.op} {pretty_term(t.args[1])})"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _paren_arith(t: Term) -> str:
+    s = pretty_term(t)
+    if isinstance(t, PrimApp) and t.op in ("+", "-", "*"):
+        return f"({s})"
+    return s
+
+
+def pretty_binders(binders: tuple[str, ...], domain: Term) -> str:
+    """A comprehension's binder clause `#{X, Y in T}`."""
+    return "#{" + ", ".join(binders) + " in " + pretty_term(domain) + "}"
+
+
+def pretty_guard(g: Guard) -> str:
+    if isinstance(g, GTrue):
+        return "true"
+    if isinstance(g, Rel):
+        op = "in" if g.op == "in" else g.op
+        return f"{pretty_term(g.lhs)} {op} {pretty_term(g.rhs)}"
+    if isinstance(g, Bind):
+        lhs = g.vars[0] if len(g.vars) == 1 else "(" + ", ".join(g.vars) + ")"
+        return f"{lhs} = {pretty_term(g.value)}"
+    if isinstance(g, Conj):
+        return ", ".join(pretty_guard(i) for i in g.items)
+    if isinstance(g, ConjComp):
+        return "{" + pretty_guard(g.body) + "}" + pretty_binders(g.binders, g.domain)
+    raise TypeError(f"not a guard: {g!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,15 @@ class ModelStore:
             out.setdefault(a.pred, []).append(n)
         return {pred: tuple(ns) for pred, ns in out.items()}
 
+    def lookup(self, pred, pos, value) -> tuple:
+        """The entries of `pred` whose argument `pos` is `value`, in label order."""
+        return tuple(e for e in self.entries if e[1].pred == pred and e[1].args[pos : pos + 1] == (value,))
+
+    def arg_index(self, pred, pos) -> dict:
+        """Value -> `lookup(pred, pos, value)`, for the values that occur."""
+        values = dict.fromkeys(a.args[pos] for _, a in self.entries if a.pred == pred and pos < len(a.args))
+        return {v: self.lookup(pred, pos, v) for v in values}
+
 
 def _match_term(pattern, value, binders, local, theta):
     if isinstance(pattern, Var):
@@ -183,8 +192,9 @@ def _solve_rule_guard(guard, theta) -> dict | None:
     return env
 
 
-def oracle_matches(rule: Rule, items) -> list[tuple[dict, tuple]]:
-    """Every (theta, blocks) for the raw rule against an indexed store."""
+def oracle_matches(rule: Rule, items, maximal: bool = True) -> list[tuple[dict, tuple]]:
+    """Every (theta, blocks) for the raw rule against an indexed store; with
+    `maximal=False` the non-maximal ones too."""
     heads = rule.heads
     n = len(heads)
     ids = [i for i, _ in items]
@@ -259,7 +269,7 @@ def oracle_matches(rule: Rule, items) -> list[tuple[dict, tuple]]:
                 ok, _ = eval_guard_env(g, env)
                 if not ok:
                     raise OracleFail
-            rest = [atoms[i] for i, a in zip(ids, assign) if a is None]
+            rest = [atoms[i] for i, a in zip(ids, assign) if a is None] if maximal else []
             for a in rest:
                 if any(
                     isinstance(p, Comprehension) and _subsumed(a, p, full)
@@ -283,18 +293,22 @@ def _theta_key(theta: dict, rule: Rule):
     return tuple(sorted((k, term_key(v)) for k, v in theta.items() if k in keep))
 
 
-def oracle_match_keys(rule: Rule, items) -> set:
+def oracle_match_keys(rule: Rule, items, maximal: bool = True, anchor=None) -> set:
+    """The keys of `oracle_matches`; with an `anchor` (head, label), those
+    whose block of that head holds that label."""
     return {
-        (_theta_key(theta, rule), blocks) for theta, blocks in oracle_matches(rule, items)
+        (_theta_key(theta, rule), blocks)
+        for theta, blocks in oracle_matches(rule, items, maximal)
+        if anchor is None or anchor[1] in blocks[anchor[0]]
     }
 
 
-def production_match_keys(rule: Rule, items) -> set:
+def production_match_keys(rule: Rule, items, maximal: bool = True, anchor=None) -> set:
     from chrcp.match import enumerate_matches
 
     keep = rule.rule_vars()
     out = set()
-    for m in enumerate_matches(rule, labeled(items)):
+    for m in enumerate_matches(rule, labeled(items), anchor, maximal=maximal):
         key = tuple(
             sorted((k, term_key(v)) for k, v in m.theta.items() if k in keep)
         )

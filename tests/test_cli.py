@@ -207,6 +207,16 @@ class TestRun:
         assert code == 1
         assert "unknown reduce function 'foo'" in err and "Traceback" not in err
 
+    def test_type_error_prints_concrete_syntax(self, capsys, tmp_path):
+        f = tmp_path / "plus.chrcp"
+        f.write_text("r @ p(X) <=> q(X + a).\n")
+        s = tmp_path / "p.store"
+        s.write_text("p(1).\n")
+        code, _, err = run_cli(capsys, "run", str(f), "--store", str(s))
+        assert code == 1
+        assert "+ expects two integers, got 1, a" in err
+        assert "Int(" not in err and "Traceback" not in err
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         missing = tmp_path / "nope.chrcp"
         code, _, err = run_cli(capsys, "run", str(missing))

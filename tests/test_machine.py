@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -75,7 +77,11 @@ class StoreAgainstModel(RuleBasedStateMachine):
     """Drives `LabeledStore` and the unindexed `ModelStore` through the same
     updates; after each one they must hold the same entries, answer `in` and
     `len` alike, bucket each predicate's labels in label order, and digest
-    alike. The updated index must equal one built from the entries afresh."""
+    alike. The updated index must equal one built from the entries afresh.
+    Argument lookups, made now and then, build a (predicate, position)
+    index that later stores carry along: every carried index must hold what
+    the model's entries give, and a fresh store's lookups must agree with
+    the model's."""
 
     atoms = st.builds(
         Atom, st.sampled_from("pqr"), st.lists(st.integers(0, 3).map(Int), max_size=2).map(tuple)
@@ -106,6 +112,10 @@ class StoreAgainstModel(RuleBasedStateMachine):
         labels = data.draw(st.lists(st.sampled_from(held), min_size=1, max_size=len(held)))
         self.store, self.model = self.store.remove(labels), self.model.remove(labels)
 
+    @rule(pred=st.sampled_from("pqr"), pos=st.integers(0, 1), value=st.integers(0, 3).map(Int))
+    def lookup(self, pred, pos, value):
+        assert self.store.lookup(pred, pos, value) == self.model.lookup(pred, pos, value)
+
     @invariant()
     def agree(self):
         store, model = self.store, self.model
@@ -117,6 +127,10 @@ class StoreAgainstModel(RuleBasedStateMachine):
         assert state_digest(ExecutionState(goals, store)) == state_digest(ExecutionState(goals, model))
         fresh = LabeledStore(store.entries, store.next_label)
         assert (fresh.by_label, fresh.by_pred, fresh.tokens) == (store.by_label, store.by_pred, store.tokens)
+        for (pred, pos), index in store.by_arg.items():
+            assert index == model.arg_index(pred, pos)
+        for pred, pos, value in itertools.product("pqr", (0, 1), map(Int, range(4))):
+            assert fresh.lookup(pred, pos, value) == model.lookup(pred, pos, value)
 
 
 TestStoreAgainstModel = StoreAgainstModel.TestCase
@@ -487,3 +501,88 @@ class TestRecordedTraces:
         run = run_operational(annotate(pivot_program), parse_store(", ".join(data + ["swap(a, b, 100)"]) + "."))
         assert run.truncated is None and len(run.state.store) == 400
         assert len(searches) == 1
+
+
+def pivot_store_text(n: int) -> str:
+    """`pivot_swap` with n data per agent from `Random(0)`, around pivot 500."""
+    rng = random.Random(0)
+    data = [f"data({a}, {rng.randrange(1000)})" for a in "ab" for _ in range(n)]
+    return ", ".join(data + ["swap(a, b, 500)"]) + "."
+
+
+def remove_non_min_store(k: int) -> tuple[str, list[Atom]]:
+    """`remove_non_min` on k groups, each one `remove([gi])` and 4 edges of
+    weight 0..9, shuffled, from `Random(0)`; and the edges a run must keep,
+    those above their group's least weight."""
+    rng = random.Random(0)
+    constraints, kept = [], []
+    for i in range(k):
+        edges = [(f"g{i}", f"n{rng.randrange(k)}", rng.randrange(10)) for _ in range(4)]
+        least = min(w for _, _, w in edges)
+        kept += [e for e in edges if e[2] > least]
+        constraints += [f"remove([g{i}])"] + [f"edge({x}, {y}, {w})" for x, y, w in edges]
+    rng.shuffle(constraints)
+    expected = parse_store(", ".join(f"edge({x}, {y}, {w})" for x, y, w in kept) + ".") if kept else ()
+    return ", ".join(constraints) + ".", list(expected)
+
+
+class TestWorkBounds:
+    """A comprehension head costs the block it absorbs: a head whose guard
+    pins an argument tries only what the argument index holds for it. An
+    atom of a predicate that an argument-blind head absorbs needs no
+    monotonicity verdict of its own."""
+
+    def counted(self, monkeypatch, owner, name) -> list:
+        calls: list = []
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_pivot_swap_tries_each_datum_once(self, pivot_program, monkeypatch):
+        """Each of the 400 data is tried by the one comprehension whose
+        agent it names; walking the bucket tried each against both (800)."""
+        from chrcp import match
+
+        calls = self.counted(monkeypatch, match, "_absorb_lenient")
+        run = run_operational(annotate(pivot_program), parse_store(pivot_store_text(200)))
+        assert run.truncated is None and len(run.state.store) == 400
+        assert len(calls) == 400
+
+    def test_remove_non_min_absorbs_linearly(self, remove_min_program, monkeypatch):
+        """`{edge(X, Y, W) | X in Gs}` looks up its group's edges: at most
+        5 x 4 x k tries for k groups, where each firing once tried every
+        edge of the store (about 136,000 tries at k=200)."""
+        from chrcp import match
+
+        k = 200
+        text, expected = remove_non_min_store(k)
+        calls = self.counted(monkeypatch, match, "_absorb_lenient")
+        run = run_operational(annotate(remove_min_program), parse_store(text))
+        assert run.truncated is None
+        assert len(calls) <= 5 * 4 * k
+        assert correspondence(run.state) == store_of(expected)
+
+    def test_atom_partner_reads_the_argument_index(self, monkeypatch):
+        """In `pivot_swap_pure`, a grab goal's partner `data(X, D)` has `X`
+        bound: it tries the grabbing agent's data only, 807 atom matches
+        with 50 data per agent, where walking the `data` bucket made 1,317."""
+        from chrcp import match
+
+        calls = self.counted(monkeypatch, match, "_match_atom")
+        run = run_operational(annotate(corpus_program("pivot_swap_pure")), parse_store(pivot_store_text(50)))
+        assert run.truncated is None and len(run.state.store) == 100
+        assert len(calls) <= 807
+
+    def test_argument_blind_heads_need_no_verdict(self, pivot_program, monkeypatch):
+        """`data` is absorbed whatever its arguments, so only the two body
+        comprehensions of the swap's firing get a verdict; each of the 400
+        data got one before."""
+        calls = self.counted(monkeypatch, machine, "verdict")
+        run = run_operational(annotate(pivot_program), parse_store(pivot_store_text(200)))
+        assert run.truncated is None
+        assert len(calls) <= 2

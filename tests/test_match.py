@@ -343,6 +343,59 @@ class TestOracleEquivalence:
         assert checked >= 150
 
 
+class TestPinnedHeads:
+    """Comprehension heads whose guard pins an argument position read their
+    candidates from the store's argument index. The matches, maximal or
+    not, with no anchor and with every (head, label) anchor, must be the
+    brute-force oracle's."""
+
+    CASES = [
+        # a rule variable (`pivot_swap`): two comprehensions on one
+        # predicate, each pinned by its own agent, and a third agent, c,
+        # whose data no lookup holds
+        (
+            "r @ swap(X, Y, P), {data(X, D) | D >= P}#{D in Xs}, {data(Y, D) | D < P}#{D in Ys} <=> true.",
+            "swap(a, b, 5), swap(b, a, 5), data(a, 3), data(a, 7), data(b, 2), data(b, 9), data(c, 1), data(c, 8).",
+        ),
+        # `A in T` with T ground (`remove_non_min`): one lookup per distinct
+        # element; a T that is not a multiset leaves nothing to absorb
+        (
+            "r @ remove(Gs), {edge(X, Y, W) | X in Gs}#{X, Y, W in Es} <=> true.",
+            "remove([a, a, b]), remove([c]), remove(5), edge(a, b, 3), edge(b, c, 1), edge(c, a, 2), edge(d, a, 4).",
+        ),
+        # a ground second argument; an atom with no second argument is not
+        # indexed there, and one of another arity is indexed but rejected
+        ("r @ go, {p(D, a)}#{D in Ds} <=> true.", "go, p(1, a), p(2, b), p(a, 3), p(a), p(4, a, 5), p(5, a)."),
+        # a pinned and an unpinned comprehension contest the pinned one's items
+        (
+            "r @ g(X), {p(X, D)}#{D in Ds}, {p(Y, E) | E > 2}#{Y, E in Es} <=> true.",
+            "g(a), p(a, 1), p(a, 3), p(b, 4), p(c, 2).",
+        ),
+        # a variable bound only by the rule guard pins nothing: the bucket walk
+        ("r @ t(N), {p(K, D)}#{D in Ds} <=> K = N + 1 | true.", "t(1), p(2, 5), p(1, 6), p(2, 7)."),
+    ]
+
+    @pytest.mark.parametrize("maximal", [True, False], ids=["maximal", "non-maximal"])
+    @pytest.mark.parametrize("ptext, stext", CASES)
+    def test_pinned_heads_match_oracle(self, ptext, stext, maximal):
+        (rule,) = parse_program(ptext, check=False).rules
+        items = list(enumerate(parse_store(stext)))
+        anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in items]
+        found = 0
+        for anchor in anchors:
+            got = production_match_keys(rule, items, maximal, anchor)
+            assert got == oracle_match_keys(rule, items, maximal, anchor), (anchor, maximal)
+            found += len(got)
+        assert found
+
+    def test_anchored_item_outside_its_lookup_has_no_match(self, pivot_program):
+        (rule,) = pivot_program.rules
+        items = list(enumerate(parse_store("swap(a, b, 5), data(a, 7), data(b, 2), data(c, 8).")))
+        assert enumerate_matches(rule, labeled(items), (1, 1))  # data(a, 7) in a's lookup
+        assert not enumerate_matches(rule, labeled(items), (1, 2))  # data(b, 2) is b's
+        assert not enumerate_matches(rule, labeled(items), (1, 3), maximal=False)  # c's: in no lookup
+
+
 class TestGuardBind:
     def test_wrong_tuple_shape_fails_the_conjunct(self):
         (rule,) = parse_program("r @ p(X) <=> (A, B) = X | q(A).").rules

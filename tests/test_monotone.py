@@ -10,10 +10,13 @@ from chrcp.fuzz import MAX_VALUE, generate_random
 from chrcp.machine import annotate
 from chrcp.match import subsumes
 from chrcp.monotone import (
+    absorbers,
+    argument_blind,
     is_monotone,
     predicate_report,
     residual_non_unifiable,
     unifiable,
+    verdict,
 )
 from chrcp.parse import parse_program
 from chrcp.rules import Atom, Comprehension, Program, normalize_program
@@ -214,6 +217,48 @@ class TestInstances:
                     assert is_monotone(program, inst), (seed, p, inst)
                     checked += 1
         assert checked > 100
+
+
+class TestArgumentBlind:
+    """`annotate` records the predicate/arity pairs that some argument-blind
+    comprehension head absorbs, and `OccurrenceProgram.monotone` answers
+    their atoms without a verdict: it must answer as the verdict does."""
+
+    def test_blind_pairs_answer_like_verdict(self):
+        programs = [generate_random(seed)[0] for seed in range(200)]
+        programs += [corpus_program(name) for name in PROGRAMS]
+        checked = 0
+        for program in programs:
+            pw = annotate(program)
+            heads = absorbers(normalize_program(program))
+            for pred, arity in pw.absorbed_preds:
+                generic = Atom(pred, tuple(Var(f"X{i}") for i in range(arity)))
+                for inst in ground_instances(generic):
+                    assert pw.monotone(inst) is verdict(heads, inst).monotone is False, inst
+                    checked += 1
+        assert checked > 1000
+
+    def test_corpus_heads_are_blind(self):
+        assert annotate(corpus_program("pivot_swap")).absorbed_preds == {("data", 2)}
+        assert annotate(corpus_program("remove_non_min")).absorbed_preds == {("edge", 3)}
+
+    def test_ground_decidable_conjunct_is_not_blind(self):
+        """`{p(X, 3)}` normalizes to `{p(V1, V2) | V1 = X, V2 = 3}`: once
+        an atom's arguments are in, `V2 = 3` is ground and decides, so the
+        head absorbs p(1, 3) but not p(1, 4)."""
+        program = parse_program("r @ {p(X, 3)}#{X in Xs} <=> q(Xs).")
+        (_, head, guard), = absorbers(normalize_program(program))
+        assert not argument_blind(head, guard)
+        pw = annotate(program)
+        assert pw.absorbed_preds == frozenset()
+        p13, p14 = Atom("p", (Int(1), Int(3))), Atom("p", (Int(1), Int(4)))
+        assert (pw.monotone(p13), pw.monotone(p14)) == (False, True)
+        assert (is_monotone(program, p13), is_monotone(program, p14)) == (False, True)
+
+    def test_ground_rule_guard_conjunct_is_not_blind(self):
+        program = parse_program("r @ {p(X)}#{X in Xs} <=> 1 > 2 | q(Xs).")
+        assert annotate(program).absorbed_preds == frozenset()
+        assert annotate(program).monotone(Atom("p", (Int(1),)))
 
 
 def verdict_lines():

@@ -136,22 +136,41 @@ class TestClassify:
 
 class TestCheckSoundness:
     def test_only_steps_that_change_the_erasure_erase_whole(self, pivot_program, monkeypatch):
+        """A whole erasure is one sort of the erased store: two per step
+        that changes the erasure, and one for the final store."""
         calls = []
-        erase = chrcp.soundness.correspondence
+        sort = chrcp.soundness.canonical_store
 
-        def counted(state):
-            calls.append(state)
-            return erase(state)
+        def counted(atoms):
+            calls.append(1)
+            return sort(atoms)
 
         rng = random.Random(0)
         data = [f"data({a}, {rng.randrange(1000)})" for a in "ab" for _ in range(200)]
         init = parse_store(", ".join(data + ["swap(a, b, 500)"]) + ".")
-        monkeypatch.setattr(chrcp.soundness, "correspondence", counted)
+        monkeypatch.setattr(chrcp.soundness, "canonical_store", counted)
         rep = check_soundness(pivot_program, init)
         assert rep.ok and rep.steps > 2000
         assert len(calls) == 2 * (rep.steps - rep.counts()[SILENT]) + 1 == 3
         run = run_operational(annotate(pivot_program), init)
-        assert rep.final_store == erase(run.state)
+        assert rep.final_store == correspondence(run.state)
+
+    def test_firing_unfolds_its_body_once(self, pivot_program, monkeypatch):
+        """The checker unfolds the swap's body once when judging the firing
+        that pushes it, and once more when the next step pops it; the
+        initial goal is unfolded when popped, and the final state holds no
+        init goal."""
+        calls = []
+        unfold = chrcp.soundness.unfold_body
+
+        def counted(patterns):
+            calls.append(1)
+            return unfold(patterns)
+
+        monkeypatch.setattr(chrcp.soundness, "unfold_body", counted)
+        rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
+        assert rep.ok and rep.counts()[ABSTRACT] == 1
+        assert len(calls) == 3
 
     def test_pivot_swap_ok(self, pivot_program):
         rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
