@@ -17,7 +17,8 @@ an argument position to values the atom heads fixed reads its candidates
 from the store's (predicate, argument position) index instead of walking
 its predicate's bucket; each candidate goes through the head's filter,
 planned once per normalized rule (`rules.CompFilter`). Every match it
-keeps has its comprehension blocks validated by `matches_exactly` and,
+keeps has its comprehension blocks validated by `matches_exactly`, which
+reads the same filter under the match's substitution, and,
 where a constraint was deliberately left out, its maximality by
 `residual_non_match`; an atom head's block is its own match by
 construction. Asked for the `limit` least matches, it searches least-first
@@ -35,9 +36,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import ChrcpError, NonGroundError, TermTypeError
+from .errors import ChrcpError, NonGroundError, RebindError, TermTypeError
 from .rules import Atom, CompFilter, Comprehension, Conjunct, Pattern, Rule, normalize_rule, plan_conjuncts
 from .terms import (
     Bind,
@@ -262,26 +263,66 @@ def comp_instances(c: Comprehension) -> list[Atom] | None:
     return out
 
 
-def matches_exactly(patterns: Iterable[Pattern], store: Iterable[Atom]) -> bool:
-    """Closed patterns consume the given store fragment exactly."""
+def matches_exactly(
+    patterns: Iterable[Pattern],
+    store: Iterable[Atom],
+    env: Mapping[str, Term] | None = None,
+    filters: Sequence[CompFilter | None] = (),
+) -> bool:
+    """Closed patterns consume the given store fragment exactly.
+
+    With `env`, the patterns are heads of a normalized rule and `env`, a
+    match's substitution, closes them: the judgment is that of the patterns
+    substituted by `env`, but nothing is substituted into them. Each
+    comprehension is judged by its filter `filters[i]` (`rules.CompFilter`,
+    planned once per rule; `_planned_instances`)."""
     need: list[Atom] = []
-    for p in patterns:
+    for i, p in enumerate(patterns):
         if isinstance(p, Atom):
-            need.append(Atom(p.pred, tuple(normalize(a) for a in p.args)))
-        else:
-            inst = comp_instances(p)
-            if inst is None:
-                return False
-            need.extend(inst)
+            args = p.args if env is None else tuple(subst_term(env, a) for a in p.args)
+            need.append(Atom(p.pred, tuple(normalize(a) for a in args)))
+            continue
+        inst = comp_instances(p) if env is None else _planned_instances(p, filters[i], env)  # type: ignore[arg-type]
+        if inst is None:
+            return False
+        need.extend(inst)
     return Counter(need) == Counter(store)
 
 
-def subsumes(a: Atom, m: Comprehension) -> Substitution | None:
-    """Binder instantiation under which `a` fits the comprehension, if any."""
+def _planned_instances(c: Comprehension, f: CompFilter, env: Mapping[str, Term]) -> list[Atom] | None:
+    """`comp_instances` of `c`, a comprehension head of a normalized rule with
+    filter `f`, substituted by `env`. Each element of the domain's value
+    binds the binders over `env` (a binder shadows a rule variable of its
+    name, as `Comprehension.substituted` leaves it unsubstituted), the
+    filter's conjuncts are solved strictly for the comprehension's own
+    variables, and the atom's arguments are read off the variables `f.args`
+    (`normalize_rule` makes each argument one). A Bind left in the filter
+    (`rules.classify_binds` turns those on known variables into tests)
+    raises `RebindError` on a variable `env` binds."""
+    dom = _ground(c.domain, env)
+    if not isinstance(dom, MSet):
+        raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
+    pred, local = c.atom.pred, c.local_vars
+    out: list[Atom] = []
+    for el in dom.items:
+        solved = _solve_guard(f.conjuncts, {**env, **bind_binders(c.binders, el)}, local)
+        if solved is None:
+            return None
+        try:
+            out.append(Atom(pred, tuple([solved[a] for a in f.args])))
+        except KeyError:  # an argument the guard left open
+            return None
+    return out
+
+
+def subsumes(a: Atom, m: Comprehension, plan: tuple[Conjunct, ...] | None = None) -> Substitution | None:
+    """Binder instantiation under which `a` fits the comprehension, if any.
+    `plan` is the comprehension's guard planned (`plan_conjuncts`), when
+    the caller has it."""
     env = _match_atom(m.atom, a, {}, solvable=m.local_vars)
     if env is None:
         return None
-    env = _solve_guard(plan_conjuncts(m.guard), env, solvable=m.local_vars)
+    env = _solve_guard(plan_conjuncts(m.guard) if plan is None else plan, env, solvable=m.local_vars)
     if env is None:
         return None
     missing = [b for b in m.binders if b not in env]
@@ -292,12 +333,12 @@ def subsumes(a: Atom, m: Comprehension) -> Substitution | None:
 
 def residual_non_match(patterns: Iterable[Pattern], store: Iterable[Atom]) -> bool:
     """True iff no store constraint is subsumed by any comprehension pattern."""
-    comps = [p for p in patterns if isinstance(p, Comprehension)]
+    comps = [(p, plan_conjuncts(p.guard)) for p in patterns if isinstance(p, Comprehension)]
     if not comps:
         return True
     for a in store:
-        for m in comps:
-            if subsumes(a, m) is not None:
+        for m, plan in comps:
+            if subsumes(a, m, plan) is not None:
                 return False
     return True
 
@@ -638,27 +679,31 @@ def enumerate_matches(
         solved = _solve_guard(guard_plan, env, solvable)
         if solved is None:
             return
-        theta = Substitution({k: v for k, v in solved.items() if k in solvable})
+        bound = {k: v for k, v in solved.items() if k in solvable}
+        theta = Substitution(bound)
         res = MatchResult(theta, blocks)
         if comp_idx and exclude and res.instance_key(head_vars) in exclude:
             return
         # Declarative validation of every comprehension block, then
         # maximality. An atom head needs none: its arguments are variables
         # (`normalize_rule`) that `_match_atom` bound to, or checked
-        # against, the matched atom's own arguments.
-        matched_comps = []
+        # against, the matched atom's own arguments. A block is judged
+        # under `bound` by its head's planned filter.
         for ci in comp_idx:
             try:
-                inst = theta.apply(heads[ci])
-                if not matches_exactly([inst], [atoms_by_id[i] for i in blocks[ci]]):
+                if not matches_exactly([heads[ci]], [atoms_by_id[i] for i in blocks[ci]], bound, (filters[ci],)):
                     return
-            except (TermTypeError, NonGroundError):
+            except (TermTypeError, NonGroundError, RebindError):
                 return
-            matched_comps.append(inst)
         if maximal and risky_stays:
             # Items rejected by every comprehension at assign time stay
             # rejected (failures are stable as the substitution grows), so
-            # only deliberate stay choices need the residual test.
+            # only deliberate stay choices need the residual test, the one
+            # place the heads are substituted.
+            try:
+                matched_comps = [theta.apply(heads[ci]) for ci in comp_idx]
+            except (TermTypeError, NonGroundError):
+                return
             if not residual_non_match(matched_comps, [atoms_by_id[i] for i in risky_stays]):
                 return
         results.append(res)

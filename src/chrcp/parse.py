@@ -27,6 +27,7 @@ from .rules import (
     Program,
     Rule,
     check_program,
+    classify_binds,
     ground_atom,
     patterns_free_vars,
 )
@@ -51,7 +52,6 @@ from .terms import (
     TupleTerm,
     Var,
     conj,
-    conjuncts,
     pretty_binders,
     pretty_guard,
     pretty_term,
@@ -192,7 +192,7 @@ class _Parser:
             self.expect("|")
         body = self.parse_body()
         self.expect(".")
-        guard = _classify_binds(guard, patterns_free_vars(propagated + simplified))
+        guard = classify_binds(guard, patterns_free_vars(propagated + simplified))
         return Rule(name, propagated, simplified, guard, tuple(body))
 
     def guard_ahead(self) -> bool:
@@ -467,25 +467,6 @@ def _var_tuple_names(t: Term) -> tuple[str, ...] | None:
         if len(set(names)) == len(names):
             return names
     return None
-
-
-def _classify_binds(guard: Guard, head_vars: frozenset[str]) -> Guard:
-    """Turn Binds on head-bound variables back into equality checks."""
-    known = set(head_vars)
-    items: list[Guard] = []
-    for c in conjuncts(guard):
-        if isinstance(c, Bind):
-            if any(v in known for v in c.vars):
-                lhs = Var(c.vars[0]) if len(c.vars) == 1 else TupleTerm(
-                    tuple(Var(v) for v in c.vars)
-                )
-                items.append(Rel("=", lhs, c.value))
-            else:
-                known.update(c.vars)
-                items.append(c)
-        else:
-            items.append(c)
-    return conj(*items)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,10 @@ def unfold_body(patterns: Iterable[Pattern]) -> list[Atom]:
 
 @dataclass(frozen=True)
 class AbstractStep:
-    """One rule application: substitution, removed and added fragments."""
+    """One rule application: substitution, removed and added fragments.
+    `rule_application` lists each fragment canonically; a firing the
+    soundness checker confirms from its certificate lists `consumed` in
+    block order and `produced` in unfolding order."""
 
     rule: str
     theta: Substitution

@@ -63,9 +63,10 @@ class Atom:
 class Comprehension:
     """Head/body pattern matching a multiset of constraints.
 
-    `binders` are collected into the domain; `aux` names the fresh atom
-    argument variables introduced by rule normalization (local like binders,
-    but not part of the collected tuple).
+    `binders` are collected into the domain; `aux` names the other local
+    variables of a normalized head, local like binders but not part of the
+    collected tuple: the fresh atom argument variables, and the variables
+    its guard binds, which each element binds anew.
     """
 
     atom: Atom
@@ -245,13 +246,34 @@ class Program:
 # Head normalization
 
 
+def classify_binds(guard: Guard, known: Iterable[str]) -> Guard:
+    """Turn the Binds of `guard` on variables already `known` (or bound by
+    an earlier Bind) back into equality checks."""
+    known = set(known)
+    items: list[Guard] = []
+    for c in conjuncts(guard):
+        if isinstance(c, Bind):
+            if any(v in known for v in c.vars):
+                lhs = Var(c.vars[0]) if len(c.vars) == 1 else TupleTerm(tuple(Var(v) for v in c.vars))
+                items.append(Rel("=", lhs, c.value))
+            else:
+                known.update(c.vars)
+                items.append(c)
+        else:
+            items.append(c)
+    return conj(*items)
+
+
 def normalize_rule(r: Rule) -> Rule:
     """Make every head atom argument a fresh variable.
 
     Plain-head argument terms become equality guards on the rule guard;
     comprehension-head argument terms become equality guards on the
     comprehension guard. Bare variable arguments of plain heads are kept
-    when not repeated within the same atom.
+    when not repeated within the same atom. A comprehension guard's
+    equation on one of its binders or on a rule variable is a test
+    (`classify_binds`), as the parser makes the rule guard's; one that
+    binds a fresh variable binds it per element (`Comprehension.aux`).
     """
     if r.normalized:
         return r
@@ -278,6 +300,10 @@ def normalize_rule(r: Rule) -> Rule:
         return Atom(a.pred, tuple(args))
 
     def norm_comp(c: Comprehension) -> Comprehension:
+        # The parser reads `X = t` with a bare X as a Bind, and classifies
+        # only the rule guard's. A Bind left binds a variable of its own.
+        own = classify_binds(c.guard, r.rule_vars() | c.local_vars)
+        lets = guard_bind_vars(own)
         eqs: list[Guard] = []
         args: list[Term] = []
         aux: list[str] = []
@@ -286,8 +312,8 @@ def normalize_rule(r: Rule) -> Rule:
             aux.append(v)
             eqs.append(Rel("=", Var(v), t))
             args.append(Var(v))
-        guard = conj(*eqs, c.guard)
-        return Comprehension(Atom(c.atom.pred, tuple(args)), guard, c.binders, c.domain, tuple(aux))
+        guard = conj(*eqs, own)
+        return Comprehension(Atom(c.atom.pred, tuple(args)), guard, c.binders, c.domain, (*aux, *lets))
 
     def norm_pattern(p: Pattern) -> Pattern:
         return norm_plain(p) if isinstance(p, Atom) else norm_comp(p)

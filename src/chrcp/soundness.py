@@ -5,7 +5,24 @@ Every machine state erases to a plain store (stored constraints plus the
 constraints still pending in init/lazy goals). A machine transition must
 either leave that erasure unchanged (silent) or be one valid rewriting step;
 anything else is a soundness violation, reported with both stores attached.
-Each transition is judged on its own, a silent one by what it changed.
+Each transition is judged on its own, by what it changed.
+
+A step pops the top goal and pushes goals onto the rest of the stack. Its
+change is two multisets: `out`, the popped goal's pending atoms plus the
+atoms of the labels it removed, and `put`, the pushed goals' pending atoms
+plus the atoms of the labels it added. When the rest of the stack is
+shared, the erasure after the step is cb = ca - out + put, with ca the
+erasure before and out contained in ca, all as multisets. So a step is
+silent iff out = put, and a firing of `rule` that consumes `consumed` (the
+atoms of labels held in ca) and produces `produced` is the abstract step
+ca -> ca - consumed + produced iff that store is cb, that is, adding out +
+consumed to both and cancelling ca, iff out + produced = put + consumed.
+A firing the machine certifies is therefore confirmed from its change
+alone; only the residual maximality test reads the rest of the erasure,
+and only the atoms of the comprehension heads' (predicate, arity) pairs in
+it, since an atom of any other pair fits no comprehension head. No whole
+erasure is built or sorted unless the certificate fails or a goal below
+the top changed.
 """
 
 from __future__ import annotations
@@ -27,18 +44,27 @@ from .machine import (
 )
 from .match import MatchResult, matches_exactly, residual_non_match
 from .parse import pretty_store
-from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, rule_application, unfold_body
-from .rules import Atom, Pattern, Program, Rule, canonical_store
+from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, unfold_body
+from .rules import Atom, Comprehension, Pattern, Program, Rule, canonical_store
 from .terms import eval_guard
 
 
-def _pending(goals: Iterable[Goal]) -> list[Atom]:
-    """What `goals` still hold: init-goal bodies (unfolded), lazy-goal atoms."""
+def _key(p: Pattern) -> tuple[str, int]:
+    atom = p if isinstance(p, Atom) else p.atom
+    return atom.pred, atom.arity
+
+
+def _pending(goals: Iterable[Goal], keys: frozenset | None = None) -> list[Atom]:
+    """What `goals` still hold: init-goal bodies (unfolded), lazy-goal atoms.
+    With `keys`, only the atoms of those (predicate, arity) pairs: a body
+    pattern is unfolded only when its own pair is one of them."""
     atoms: list[Atom] = []
     for g in goals:
         if isinstance(g, InitGoal):
-            atoms.extend(unfold_body(g.body))
-        elif isinstance(g, LazyGoal):
+            body = g.body if keys is None else [p for p in g.body if _key(p) in keys]
+            if body:
+                atoms.extend(unfold_body(body))
+        elif isinstance(g, LazyGoal) and (keys is None or _key(g.atom) in keys):
             atoms.append(g.atom)
     return atoms
 
@@ -57,36 +83,39 @@ def _pushed(before: ExecutionState, after: ExecutionState) -> int | None:
     return top if top >= 0 and after.goals[top:] == below else None
 
 
-def _same_change(before: ExecutionState, after: ExecutionState, popped: list[Atom], pushed: list[Atom]) -> bool:
-    """Whether the step's removed atoms plus the popped goal's pending atoms
-    `popped` equal its added atoms plus the pushed goals' pending atoms
-    `pushed`, as multisets. A label keeps its atom while it is held: the
-    store is immutable, and `validate_state`, applied by `run_operational`
-    before any observer sees the step, keeps new labels fresh, so the added
-    labels are those from `before.store.next_label` on. The two stores'
-    sizes then tell whether any label was removed, and only then are their
-    labels compared."""
-    out, put = list(popped), list(pushed)
+def _change(before: ExecutionState, after: ExecutionState, top: int) -> tuple[list[Atom], list[Atom]]:
+    """The step's (out, put): the popped goal's pending atoms plus its
+    removed atoms, and the `top` pushed goals' pending atoms plus its added
+    atoms. A label keeps its atom while it is held: the store is immutable,
+    and `validate_state`, applied by `run_operational` before any observer
+    sees the step, keeps new labels fresh, so the added labels are those
+    from `before.store.next_label` on. The two stores' sizes then tell
+    whether any label was removed, and only then are their labels
+    compared."""
+    out, put = _pending(before.goals[:1]), _pending(after.goals[:top])
     old, new = before.store, after.store
     if new is not old:
         added = range(old.next_label, new.next_label)
         put += [new.by_label[n] for n in added]
         if len(new) - len(added) < len(old):
             out += [old.by_label[n] for n in old.by_label.keys() - new.by_label.keys()]
+    return out, put
+
+
+def _balanced(out: list[Atom], put: list[Atom]) -> bool:
     return out == put or Counter(out) == Counter(put)
 
 
 def unchanged_erasure(before: ExecutionState, after: ExecutionState) -> bool:
     """Whether `correspondence(before) == correspondence(after)`, read off
-    what the step changed. A step pops the top goal and pushes goals onto
-    the rest. When the rest is shared, both erasures hold its pending atoms,
-    so they are equal iff the popped and pushed goals and the removed and
-    added labels balance (`_same_change`). A step that changed a goal below
-    the top is erased whole, so nothing is assumed of it."""
+    what the step changed. When the rest of the stack is shared, both
+    erasures hold its pending atoms, so they are equal iff the step's `out`
+    and `put` balance (`_change`). A step that changed a goal below the top
+    is erased whole, so nothing is assumed of it."""
     top = _pushed(before, after)
     if top is None:
         return correspondence(before) == correspondence(after)
-    return _same_change(before, after, _pending(before.goals[:1]), _pending(after.goals[:top]))
+    return _balanced(*_change(before, after, top))
 
 
 SILENT = "silent"
@@ -96,6 +125,10 @@ VIOLATION = "violation"
 
 @dataclass(frozen=True)
 class StepClass:
+    """A step's verdict. A firing confirmed by its certificate carries its
+    `step` and no stores; a verdict of the fallback search and a violation
+    carry both erased stores."""
+
     kind: str  # silent | abstract | violation
     step: AbstractStep | None = None
     before: Store | None = None
@@ -106,13 +139,35 @@ class StepClass:
 ORACLE_BUDGET = 100_000
 
 
+def _unmatched(before: ExecutionState, comps: list[Comprehension], ids: set[int]) -> list[Atom]:
+    """The atoms of the erasure of `before`, outside the labels `ids`, whose
+    (predicate, arity) pair is that of one of the comprehensions `comps`:
+    stored ones from their predicates' buckets, pending ones from the goals,
+    an init goal's body unfolded only where a pattern has such a pair."""
+    keys = frozenset(_key(c) for c in comps)
+    by_pred = before.store.by_pred
+    stored = [a for pred in {p for p, _ in keys} for n, a in by_pred.get(pred, ()) if n not in ids and _key(a) in keys]
+    return stored + _pending(before.goals, keys)
+
+
 def _confirm_certificate(
-    rule: Rule, m: MatchResult, atoms: dict[int, Atom], ca: Store, cb: Store
+    rule: Rule, m: MatchResult, before: ExecutionState, out: list[Atom], put: list[Atom]
 ) -> AbstractStep | None:
     """The abstract step the machine's own firing (rule, match) denotes, if
-    it is one: every block of labels in `atoms` matches its head exactly under
-    theta, the guard holds, the match is maximal in the whole erased store
-    `ca`, and applying it turns `ca` into `cb`. None when any of these fails."""
+    the step from `before` with change (`out`, `put`) is that step: every
+    block of labels matches its head exactly under theta, the guard holds,
+    the match is maximal in the erasure of `before`, and out + produced =
+    put + consumed as multisets. None when any of these fails.
+
+    The last test is the successor test: with ca the erasure before and cb
+    after, cb = ca - out + put, and the match's labels are held in ca, so
+    ca - consumed + produced = cb iff out + produced = put + consumed. The
+    body is unfolded here from (rule, match), not read off the goal the
+    machine pushed, so the test also checks that the machine pushed the
+    body its match denotes. Maximality needs only the unmatched atoms of
+    the comprehension heads' (predicate, arity) pairs (`_unmatched`): a
+    comprehension subsumes no atom of another pair."""
+    atoms = before.store.by_label
     ids = [i for b in m.blocks for i in b]
     if len(set(ids)) != len(ids) or any(i not in atoms for i in ids):
         return None
@@ -125,45 +180,51 @@ def _confirm_certificate(
     # binding into an equality check.
     if not eval_guard(theta.apply(rule.guard)):
         return None
-    erased = Counter(ca)
-    rest = erased.copy()
-    rest.subtract(atoms[i] for i in ids)
-    if not residual_non_match(heads, rest.elements()):
+    comps = [h for h in heads if isinstance(h, Comprehension)]
+    if comps and not residual_non_match(comps, _unmatched(before, comps, set(ids))):
         return None
-    astep, successor = rule_application(rule, m, atoms, erased)
-    return astep if successor == cb else None
+    consumed = tuple(atoms[i] for b in m.blocks[len(rule.propagated) :] for i in b)
+    produced = tuple(unfold_body(theta.apply(rule.body)))
+    if Counter([*out, *produced]) != Counter([*put, *consumed]):
+        return None
+    return AbstractStep(rule.name, theta, consumed, produced)
 
 
 def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: ExecutionState) -> StepClass:
     """Silent, one abstract step, or a violation: one transition judged.
 
-    A step that leaves the erasure unchanged is silent, and costs what it
-    changed (`unchanged_erasure`). Any other step erases both states whole,
-    from the same pending atoms: each goal's body is unfolded once. A
-    firing step carries its certificate on the init goal it pushes; when
-    the declarative judgments confirm it, no search is needed. Otherwise the
-    step is confirmed by searching every abstract step of the erased store.
+    When the step shares the rest of the stack, it is judged by its change
+    (`_change`): the erasure after it is cb = ca - out + put, so it is
+    silent iff `out` and `put` balance, and a firing whose certificate, the
+    (rule, match) on the init goal it pushes, the declarative judgments
+    confirm from that change is that abstract step (`_confirm_certificate`:
+    out + produced = put + consumed), with no erasure built; its maximality
+    reads only the unmatched atoms of the comprehension heads' (predicate,
+    arity) pairs. A step that changed a goal below the top is erased whole,
+    and its change is the two whole erasures. Only when no certificate
+    confirms the step are both states erased whole and every abstract step
+    of the erasure before searched.
     """
     top = _pushed(before, after)
     if top is None:
         ca, cb = correspondence(before), correspondence(after)
         if ca == cb:
             return StepClass(SILENT)
+        out, put = list(ca), list(cb)
     else:
-        popped, pushed = _pending(before.goals[:1]), _pending(after.goals[:top])
-        if _same_change(before, after, popped, pushed):
+        out, put = _change(before, after, top)
+        if _balanced(out, put):
             return StepClass(SILENT)
-        rest = _pending(after.goals[top:])
-        ca = canonical_store([*before.store.by_label.values(), *popped, *rest])
-        cb = canonical_store([*after.store.by_label.values(), *pushed, *rest])
     first = after.goals[0] if after.goals else None
     if isinstance(first, InitGoal) and first.cause is not None:
         try:
-            astep = _confirm_certificate(*first.cause, before.store.by_label, ca, cb)
+            astep = _confirm_certificate(*first.cause, before, out, put)
         except (TermTypeError, NonGroundError, RebindError):
             astep = None
         if astep is not None:
-            return StepClass(ABSTRACT, step=astep, before=ca, after=cb)
+            return StepClass(ABSTRACT, step=astep)
+    if top is not None:
+        ca, cb = correspondence(before), correspondence(after)
     for examined, (astep, succ) in enumerate(abstract_steps(pw.source, ca), 1):
         if examined > ORACLE_BUDGET:
             raise BudgetError(f"more than {ORACLE_BUDGET} candidate steps while confirming")
@@ -179,6 +240,7 @@ class SoundnessReport:
     final_store: Store = ()
     truncated: str | None = None  # the limit that stopped the run, e.g. "store cap 64"
     steps: int = 0
+    init: tuple[Pattern, ...] = ()  # the run's initial goal, for `trace_records`
 
     @property
     def violations(self) -> list[tuple[int, str, StepClass]]:
@@ -207,9 +269,12 @@ def check_soundness(
     steps, and `max_store` constraints when given. A truncated run still
     classifies every step it executed, and `truncated` names the limit hit.
     Each step is judged on its own (`classify_step`), so a silent step costs
-    what it changed; the final store is the erasure of the last state."""
+    what it changed, and a certified firing what it changed and the
+    unmatched atoms a comprehension head could take; the final store is the
+    erasure of the last state."""
     pw = annotate(program)
-    report = SoundnessReport()
+    init = tuple(init)
+    report = SoundnessReport(init=init)
 
     def observe(ev: StepEvent) -> None:
         report.classifications.append((ev.index, ev.kind, classify_step(pw, ev.before, ev.after)))
@@ -248,8 +313,25 @@ def trace_record(
 
 
 def trace_records(report: SoundnessReport) -> list[dict]:
-    """JSON-ready per-step records of a check."""
-    return [
-        trace_record(index, kind, digest=digest, cls=cls)
-        for (index, kind, cls), digest in zip(report.classifications, report.goal_digests)
-    ]
+    """JSON-ready per-step records of a check.
+
+    A firing confirmed by its certificate carries no stores, so its
+    `storeBefore` and `storeAfter` are replayed: the erasure starts as the
+    initial goal's, a silent step leaves it as it is, a confirmed firing
+    takes out its `consumed` and adds its `produced` (that is what
+    confirming it proved), and a verdict that carries its stores resets it
+    to its `after`. So the records are those of stores kept per step."""
+    erasure = Counter(unfold_body(report.init))
+    shown: str | None = None  # `erasure` rendered, while it is unchanged
+    records = []
+    for (index, kind, cls), digest in zip(report.classifications, report.goal_digests):
+        rec = trace_record(index, kind, digest=digest, cls=cls)
+        if cls.after is not None:
+            erasure, shown = Counter(cls.after), rec["storeAfter"]
+        elif cls.step is not None:
+            rec["storeBefore"] = shown if shown is not None else pretty_store(canonical_store(erasure.elements()))
+            erasure.subtract(cls.step.consumed)
+            erasure.update(cls.step.produced)
+            rec["storeAfter"] = shown = pretty_store(canonical_store(erasure.elements()))
+        records.append(rec)
+    return records

@@ -414,13 +414,13 @@ def substitute(theta: Substitution, obj):
     Terms are normalized where they became ground (per the semantics,
     normalization happens during/right after substitution).
     """
+    if isinstance(obj, tuple):
+        return tuple(substitute(theta, o) for o in obj)
     m = theta.mapping() if isinstance(theta, Substitution) else dict(theta)
     if isinstance(obj, Term):
         return norm_loose(subst_term(m, obj))
     if isinstance(obj, Guard):
         return guard_loose(subst_guard(m, obj))
-    if isinstance(obj, tuple):
-        return tuple(substitute(theta, o) for o in obj)
     hook = getattr(obj, "substituted", None)
     if hook is not None:
         return hook(theta)
@@ -580,7 +580,7 @@ def rel_holds(op: str, lhs: Term, rhs: Term) -> bool:
 
 
 def eval_term(t: Term, env: Mapping[str, Term] | None = None) -> Term:
-    return normalize(subst_term(dict(env or {}), t))
+    return normalize(subst_term(env or {}, t))
 
 
 def eval_guard(g: Guard, env: Mapping[str, Term] | None = None) -> bool:

@@ -17,9 +17,12 @@ from chrcp.errors import NonGroundError, RebindError, TermTypeError
 from chrcp.machine import InitGoal, LabeledStore, LazyGoal
 from chrcp.rules import Atom, Comprehension, Program, Rule, canonical_store
 from chrcp.terms import (
+    Bind,
     MSet,
+    Rel,
     TupleTerm,
     Var,
+    conjuncts,
     eval_guard_env,
     eval_term,
     is_ground,
@@ -110,6 +113,20 @@ def _match_term(pattern, value, binders, local, theta):
     raise OracleFail  # argument shapes outside the oracle's scope
 
 
+def _comp_guard_holds(guard, env) -> bool:
+    """A comprehension guard under `env`, conjunct by conjunct. An equation
+    whose left side names only variables `env` binds (a binder, a rule
+    variable) is a test, as in a rule guard; the parser reads it as a Bind."""
+    for c in conjuncts(guard):
+        if isinstance(c, Bind) and all(v in env for v in c.vars):
+            lhs = Var(c.vars[0]) if len(c.vars) == 1 else TupleTerm(tuple(Var(v) for v in c.vars))
+            c = Rel("=", lhs, c.value)
+        ok, env = eval_guard_env(c, env)
+        if not ok:
+            return False
+    return True
+
+
 def _subsumed(atom, comp: Comprehension, theta) -> bool:
     """Would the comprehension (under theta) absorb this constraint?"""
     if comp.atom.pred != atom.pred or comp.atom.arity != atom.arity:
@@ -123,8 +140,7 @@ def _subsumed(atom, comp: Comprehension, theta) -> bool:
             return False
         env = dict(theta)
         env.update(local)
-        ok, _ = eval_guard_env(comp.guard, env)
-        return ok
+        return _comp_guard_holds(comp.guard, env)
     except (OracleFail, NonGroundError, TermTypeError, RebindError):
         return False
 
@@ -133,8 +149,6 @@ def _solve_rule_guard(guard, theta) -> dict | None:
     """Naive fixpoint over guard conjuncts: equations on a bare unbound
     variable define it, Binds extend the environment, everything else must
     evaluate to true once ground."""
-    from chrcp.terms import Bind, Rel, conjuncts
-
     env = dict(theta)
     pending = list(conjuncts(guard))
     while pending:
@@ -266,8 +280,7 @@ def oracle_matches(rule: Rule, items, maximal: bool = True) -> list[tuple[dict, 
             for g, local in pending:
                 env = dict(full)
                 env.update(local)
-                ok, _ = eval_guard_env(g, env)
-                if not ok:
+                if not _comp_guard_holds(g, env):
                     raise OracleFail
             rest = [atoms[i] for i, a in zip(ids, assign) if a is None] if maximal else []
             for a in rest:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +13,10 @@ from chrcp.bundled import PROGRAMS, STORES, corpus_path
 from chrcp.cli import main
 from chrcp.errors import ChrcpError
 from chrcp.machine import annotate, run_operational
+from chrcp.match import maximality_disabled
 from chrcp.parse import load_program, load_store, parse_program, parse_store, pretty_store
 from chrcp.rewrite import run_abstract, store_of
-from chrcp.soundness import check_soundness
+from chrcp.soundness import check_soundness, trace_records
 
 
 def run_cli(capsys, *args):
@@ -193,6 +195,31 @@ class TestRun:
             code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
             assert code == 0 and out.strip().endswith("OK"), program
 
+    @pytest.mark.parametrize("engine", ["op", "abs"])
+    @pytest.mark.parametrize(
+        "program, store_text, final",
+        [
+            # an equation on a binder or a rule variable is a test: b(1)
+            # is absorbed, b(2) stays
+            (f"r @ a(Y), {{b(X) | {guard}}}#{{X in Xs}} <=> c(Xs).", "a(1), b(1), b(2).", "b(2), c([1]).")
+            for guard in ("X = 1", "Y = X", "X = Y")
+        ]
+        + [
+            # one that binds a fresh Z binds it anew for each element
+            ("r @ go, {b(X) | Z = X + 1, Z > 2}#{X in Xs} <=> c(Xs).", "go, b(1), b(2), b(3).", "b(1), c([2, 3]).")
+        ],
+    )
+    def test_comprehension_guard_equation(self, capsys, tmp_path, engine, program, store_text, final, monkeypatch):
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        f = tmp_path / "eq.chrcp"
+        f.write_text(program + "\n")
+        s = tmp_path / "s.store"
+        s.write_text(store_text + "\n")
+        code, out, _ = run_cli(capsys, "run", str(f), "--store", str(s), "--engine", engine)
+        assert (code, out.strip()) == (0, final)
+        code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
+        assert code == 0 and out.strip().endswith("OK")
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"
         f.write_text("r @ p(X \\ q(X)\n")
@@ -308,6 +335,36 @@ class TestCheck:
         assert code == 0 and err == ""
         assert f"steps={records} " in out and "violations=0" in out
         assert out.strip().endswith("OK")
+
+
+# sha256 of the `check --trace` JSON of each corpus run, recorded before a
+# confirmed firing stopped carrying its stores: its replayed stores must
+# render the same text.
+TRACE_PINS = {
+    ("pivot_swap", "pivot_swap"): "0a45872f66f1b36721e577d8982f0d52ef87e6d08bf688d014ecd948b86c8a03",
+    ("relabel", "relabel2"): "64d1117a101ec8b1836136f12d3395ccc5e53371aaa313d61dfb2710c1809fc8",
+    ("pair_prop", "pair3"): "0a8a2e4105b0ea824e609a4de7f2b0df5cde9535f730f368074bb4a3157f93b1",
+    ("remove_non_min", "remove_non_min"): "def736bd6aeb3d385914970d4bba7411ffc780ba11acd6ea5ad96b4549c5dc8c",
+}
+# The negative control (`maximality_disabled`) on relabel3: violation records.
+CONTROL_TRACE_PIN = "4b97f7b7f66e0c8e97152e08b63f300cc4bc6487d405f18ff0bcdbcccb895cd6"
+
+
+class TestCheckTracePins:
+    @pytest.mark.parametrize("program, store_name", list(TRACE_PINS))
+    def test_check_trace_is_pinned(self, capsys, tmp_path, program, store_name):
+        trace = tmp_path / "trace.json"
+        code, _, _ = run_cli(capsys, "check", prog(program), "--store", store(store_name), "--trace", str(trace))
+        assert code == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_PINS[program, store_name]
+
+    def test_negative_control_trace_is_pinned(self, tmp_path):
+        with maximality_disabled():
+            report = check_soundness(chrcp.corpus_program("relabel"), chrcp.corpus_store("relabel3"))
+        assert report.violations
+        trace = tmp_path / "trace.json"
+        cli._write_trace(str(trace), trace_records(report))
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == CONTROL_TRACE_PIN
 
 
 class TestFuzz:

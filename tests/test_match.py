@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from chrcp import corpus_program, match
-from chrcp.errors import ChrcpError, RebindError
+from chrcp import corpus_program, corpus_store, match
+from chrcp.errors import ChrcpError, NonGroundError, RebindError, TermTypeError
 from chrcp.fuzz import generate_random
 from chrcp.machine import annotate, run_operational
 from chrcp.match import (
@@ -13,9 +13,9 @@ from chrcp.match import (
     subsumes,
 )
 from chrcp.parse import parse_program, parse_store
-from chrcp.rules import Atom, Comprehension, Rule, normalize_rule
+from chrcp.rules import Atom, Comprehension, Rule, comp_filter, normalize_rule
 from chrcp.soundness import ABSTRACT, check_soundness, correspondence
-from chrcp.terms import Bind, GTrue, Int, Rel, Substitution, Sym, Var, mset
+from chrcp.terms import Bind, GTrue, Int, Rel, Substitution, Sym, Var, conj, mset
 
 from oracles import labeled, oracle_match_keys, production_match_keys
 
@@ -231,9 +231,9 @@ class TestLimit:
         validated = []
         real = match.matches_exactly
 
-        def spy(patterns, store):
+        def spy(*args):
             validated.append(1)
-            return real(patterns, store)
+            return real(*args)
 
         monkeypatch.setattr(match, "matches_exactly", spy)
         pw = annotate(parse_program("split @ go, {a(X)}#{X in Xs}, {a(Y)}#{Y in Ys} <=> l(Xs), r(Ys)."))
@@ -260,9 +260,9 @@ class TestLimit:
         validated = []
         real = match.matches_exactly
 
-        def spy(patterns, store):
+        def spy(*args):
             validated.append(1)
-            return real(patterns, store)
+            return real(*args)
 
         monkeypatch.setattr(match, "matches_exactly", spy)
         run = run_operational(annotate(program), parse_store(", ".join(f"p({i})" for i in range(16)) + "."))
@@ -314,6 +314,13 @@ class TestOracleEquivalence:
             ("r @ {p(X)}#{X in Xs} <=> reduce(count, 0, Xs) > 2 | q(Xs).", "p(1), p(2)."),
             # an atom head binds the domain first: g([1]) cannot take both p's
             ("r @ g(Xs), {p(X)}#{X in Xs} <=> true.", "g([1]), g([1, 2]), p(1), p(2)."),
+            # an equation on a binder or a rule variable in a comprehension
+            # guard is a test: only b(1) is absorbed
+            ("r @ a(Y), {b(X) | X = 1}#{X in Xs} <=> c(Xs).", "a(1), b(1), b(2)."),
+            ("r @ a(Y), {b(X) | Y = X}#{X in Xs} <=> c(Xs).", "a(1), b(1), b(2)."),
+            ("r @ a(Y), {b(X) | X = Y}#{X in Xs} <=> c(Xs).", "a(1), b(1), b(2)."),
+            # a binding of a fresh variable holds per element
+            ("r @ go, {b(X) | Z = X + 1, Z > 2}#{X in Xs} <=> c(Xs).", "go, b(1), b(2), b(3)."),
         ]
         for ptext, stext in cases:
             (rule,) = parse_program(ptext, check=False).rules
@@ -394,6 +401,62 @@ class TestPinnedHeads:
         assert enumerate_matches(rule, labeled(items), (1, 1))  # data(a, 7) in a's lookup
         assert not enumerate_matches(rule, labeled(items), (1, 2))  # data(b, 2) is b's
         assert not enumerate_matches(rule, labeled(items), (1, 3), maximal=False)  # c's: in no lookup
+
+
+class TestPlannedValidation:
+    """`finish` judges each comprehension block under the match's
+    substitution through the head's planned filter, substituting nothing
+    into the head. Each verdict must be that of the substituted head, an
+    error counting as a failed match."""
+
+    @staticmethod
+    def verdict(judge) -> bool:
+        try:
+            return judge()
+        except (TermTypeError, NonGroundError, RebindError):
+            return False
+
+    def test_planned_verdicts_are_the_substituted_verdicts(self, monkeypatch):
+        real = match.matches_exactly
+        verdicts = []
+
+        def spy(patterns, store, env=None, filters=()):
+            if env is None:
+                return real(patterns, store)
+            got = self.verdict(lambda: real(patterns, store, env, filters))
+            theta = Substitution(env)
+            want = self.verdict(lambda: real([theta.apply(p) for p in patterns], store))
+            assert got == want, (patterns, store, env)
+            verdicts.append(got)
+            return got
+
+        monkeypatch.setattr(match, "matches_exactly", spy)
+        runs = [generate_random(seed) for seed in range(200)]
+        runs += [
+            (parse_program("split @ go, {a(X)}#{X in Xs}, {a(Y)}#{Y in Ys} <=> l(Xs), r(Ys)."),
+             parse_store("go, " + ", ".join(f"a({i})" for i in range(8)) + ".")),
+            (corpus_program("pivot_swap"), corpus_store("pivot_swap")),
+            (corpus_program("remove_non_min"), corpus_store("remove_non_min")),
+            (parse_program("r @ a(Y), {b(X) | X = 1}#{X in Xs} <=> c(Xs)."), parse_store("a(1), b(1), b(2).")),
+            (parse_program("r @ go, {b(X) | Z = X + 1, Z > 2}#{X in Xs} <=> c(Xs)."),
+             parse_store("go, b(1), b(2), b(3).")),
+            # a guard only the rule guard makes readable: absorption keeps
+            # p(1), and validation rejects that block
+            (parse_program("r @ t(N) \\ {p(D) | D >= W}#{D in Ds} <=> W = N + 1 | q(Ds)."),
+             parse_store("t(1), p(1), p(2), p(3).")),
+        ]
+        for program, init in runs:
+            run_operational(annotate(program), init, max_steps=80)
+        assert verdicts.count(True) >= 100 and False in verdicts
+
+    def test_bind_on_a_bound_variable_raises(self):
+        # A Bind left in a filter on a variable the substitution binds (the
+        # parser's and `normalize_rule`'s make such an equation a test).
+        guard = conj(Rel("=", Var("V"), Var("X")), Bind(("Y",), Var("X")))
+        c = Comprehension(Atom("b", (Var("V"),)), guard, ("X",), Var("Xs"), ("V",))
+        env = {"Y": Int(1), "Xs": mset(Int(1))}
+        with pytest.raises(RebindError):
+            matches_exactly([c], [atom("b(1)")], env, [comp_filter(c)])
 
 
 class TestGuardBind:

@@ -82,6 +82,12 @@ class TestParseProgram:
         (r,) = parse_program("r @ p(X), q(Y) <=> X = Y | s(X).").rules
         assert isinstance(r.guard, Rel)
 
+    def test_comprehension_guard_equation_passes_the_checker(self):
+        # The parser keeps a head comprehension's `X = 1` as a Bind;
+        # `normalize_rule` makes it a test (tests/test_rules.py).
+        (r,) = parse_program("r @ a(Y), {b(X) | X = 1}#{X in Xs} <=> c(Xs).").rules
+        assert r.heads[1].guard == Bind(("X",), Int(1))
+
     def test_empty_body_keyword(self):
         (r,) = parse_program("r @ p(X) <=> true.").rules
         assert r.body == ()

@@ -9,7 +9,7 @@ from chrcp.rules import (
     check_program,
     normalize_rule,
 )
-from chrcp.terms import GUARD_TRUE, Int, PrimApp, Rel, Var, conjuncts
+from chrcp.terms import GUARD_TRUE, Bind, Int, PrimApp, Rel, Var, conjuncts
 
 
 def rule_of(text):
@@ -47,6 +47,19 @@ class TestNormalizeRule:
         eqs = [c for c in conjuncts(comp.guard) if isinstance(c, Rel) and c.op == "="]
         assert {c.rhs for c in eqs} >= {Var("X"), Var("D")}
         assert comp.binders == ("D",)  # collected tuple unchanged
+
+    @pytest.mark.parametrize("guard", ["X = 1", "Y = X", "X = Y", "(X, Y) = (1, 1)"])
+    def test_comprehension_equation_on_a_known_variable_is_a_test(self, guard):
+        r = rule_of(f"r @ a(Y), {{b(X) | {guard}}}#{{X in Xs}} <=> c(Xs).")
+        assert any(isinstance(c, Bind) for c in conjuncts(r.heads[1].guard))  # as parsed
+        comp = normalize_rule(r).heads[1]
+        assert not any(isinstance(c, Bind) for c in conjuncts(comp.guard))
+
+    def test_comprehension_bind_on_a_fresh_variable_is_local(self):
+        r = rule_of("r @ {b(X) | Z = X + 1, Z > 2}#{X in Xs} <=> c(Xs).")
+        comp = normalize_rule(r).heads[0]
+        assert [c.vars for c in conjuncts(comp.guard) if isinstance(c, Bind)] == [("Z",)]
+        assert "Z" in comp.local_vars and "Z" not in comp.free_vars()
 
     def test_idempotent(self, pivot_program):
         nr = normalize_rule(pivot_program.rules[0])

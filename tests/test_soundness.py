@@ -1,6 +1,9 @@
 import dataclasses
 import random
 
+import pytest
+
+import chrcp.rewrite
 import chrcp.soundness
 from chrcp import corpus_program, corpus_store
 from chrcp.fuzz import generate_random
@@ -117,6 +120,36 @@ class TestClassify:
         assert len(searches) == 1
         assert cls.kind == ABSTRACT and cls.step.theta == m.theta
 
+    @pytest.mark.parametrize(
+        "program, store_name, kind",
+        [
+            ("pivot_swap", "pivot_swap", "act-simpa-1"),
+            ("relabel", "relabel3", "act-simpa-1"),
+            ("pair_prop", "pair3", "prop-prop"),
+        ],
+    )
+    def test_confirmed_firing_builds_no_store(self, monkeypatch, program, store_name, kind):
+        """A firing its certificate confirms is judged from its change: no
+        erasure is sorted, no successor store is built, and the verdict
+        carries no stores."""
+        pw, events = self.collect(corpus_program(program), corpus_store(store_name))
+
+        def refuse(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return called
+
+        for module in (chrcp.soundness, chrcp.rewrite):
+            monkeypatch.setattr(module, "canonical_store", refuse("canonical_store"))
+        monkeypatch.setattr(chrcp.rewrite, "rule_application", refuse("rule_application"))
+        fires = [ev for ev in events if ev.kind == kind]
+        assert fires
+        for ev in fires:
+            cls = classify_step(pw, ev.before, ev.after)
+            assert cls.kind == ABSTRACT and cls.step is not None
+            assert cls.before is None and cls.after is None
+
     def test_swapping_goals_below_the_top_is_silent(self):
         p = parse_program("r @ p(X), q(X) <=> s(X).")
         p1, q2, q3 = Atom("p", (Int(1),)), Atom("q", (Int(2),)), Atom("q", (Int(3),))
@@ -136,8 +169,9 @@ class TestClassify:
 
 class TestCheckSoundness:
     def test_only_steps_that_change_the_erasure_erase_whole(self, pivot_program, monkeypatch):
-        """A whole erasure is one sort of the erased store: two per step
-        that changes the erasure, and one for the final store."""
+        """A whole erasure is one sort of the erased store. A silent step
+        and a firing its certificate confirms make none, so the final
+        store is the only one."""
         calls = []
         sort = chrcp.soundness.canonical_store
 
@@ -151,15 +185,18 @@ class TestCheckSoundness:
         monkeypatch.setattr(chrcp.soundness, "canonical_store", counted)
         rep = check_soundness(pivot_program, init)
         assert rep.ok and rep.steps > 2000
-        assert len(calls) == 2 * (rep.steps - rep.counts()[SILENT]) + 1 == 3
+        assert rep.counts()[ABSTRACT] == 1
+        assert len(calls) == 1
         run = run_operational(annotate(pivot_program), init)
         assert rep.final_store == correspondence(run.state)
 
     def test_firing_unfolds_its_body_once(self, pivot_program, monkeypatch):
-        """The checker unfolds the swap's body once when judging the firing
-        that pushes it, and once more when the next step pops it; the
-        initial goal is unfolded when popped, and the final state holds no
-        init goal."""
+        """The checker unfolds the pushed goal's body once when judging the
+        firing that pushes it, the certificate unfolds the body its (rule,
+        match) denotes once, to check that the machine pushed that body,
+        and the pushed goal is unfolded once more when the next step pops
+        it; the initial goal is unfolded when popped, and the final state
+        holds no init goal."""
         calls = []
         unfold = chrcp.soundness.unfold_body
 
@@ -170,7 +207,7 @@ class TestCheckSoundness:
         monkeypatch.setattr(chrcp.soundness, "unfold_body", counted)
         rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
         assert rep.ok and rep.counts()[ABSTRACT] == 1
-        assert len(calls) == 3
+        assert len(calls) == 4
 
     def test_pivot_swap_ok(self, pivot_program):
         rep = check_soundness(pivot_program, corpus_store("pivot_swap"))
