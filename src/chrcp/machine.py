@@ -9,19 +9,25 @@ every constraint is monotone, the predicates whose every constraint some
 argument-blind comprehension head absorbs (`monotone.argument_blind`), and
 the comprehension heads that any other pattern gets its own verdict
 against. Propagation rules track per-goal histories of applied instances so
-saturation terminates. The store (`match.LabeledStore`) keeps its index up
-to date per step: a label -> atom map, per-predicate buckets in label order
-for the head-match search, and digest tokens for `state_digest`, which
-joins them once per store and formats the top four goals. A head of another
-predicate or arity than the active constraint's costs no search, and
-neither does a rule with an atom head whose predicate has no constraint
-stored: that partner is missing, so the rule cannot fire.
+saturation terminates.
+
+A step costs what it changes. The goal stack (`GoalStack`) is a persistent
+linked stack: a step pops one node and pushes a few onto the tail it
+shares, and each node keeps the digest texts of the top four goals from
+it down. The store (`match.LabeledStore`) is persistent by rerooting: the
+newest version owns the one index the head-match search reads, and a
+step edits it for the k labels it adds or removes; an older version keeps
+only the edit back to its successor. `validate_state` checks the pushed
+goals and the fresh labels, and `state_digest` joins two kept texts. A
+head of another predicate or arity than the active constraint's costs no
+search, and neither does a rule with an atom head whose predicate has no
+constraint stored: that partner is missing, so the rule cannot fire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import match
 from .errors import ChrcpError, recursion_guard
@@ -135,10 +141,109 @@ class PropGoal:
 Goal = Union[InitGoal, LazyGoal, EagerGoal, ActGoal, PropGoal]
 
 
+class GoalStack:
+    """A persistent stack of goals. A node holds the top goal and the stack
+    below it, which every stack pushed onto it shares, so a push or a pop
+    costs O(1) and a step copies no goal. `EMPTY` is the one empty stack.
+    The stack reads like the tuple of its goals, top first: `len`, `[i]`,
+    `[:k]` (a tuple), `[k:]` (the shared tail itself), iteration, `==`
+    against a tuple or a stack, and `tuple + stack` (the tuple's goals
+    pushed, its first on top). Each node keeps the digest texts of the top
+    four goals from it down, its own goal's and three of the node below,
+    so a state digest renders no goal."""
+
+    __slots__ = ("top", "rest", "_len", "_heads")
+
+    def __init__(self, top: Goal | None, rest: GoalStack | None) -> None:
+        self.top, self.rest = top, rest
+        if rest is None:
+            self._len, self._heads = 0, ()
+        else:
+            self._len, self._heads = rest._len + 1, (top.digest,) + rest._heads[:3]  # type: ignore[union-attr]
+
+    def push(self, goal: Goal) -> GoalStack:
+        return GoalStack(goal, self)
+
+    def __radd__(self, goals: object) -> GoalStack:
+        if not isinstance(goals, tuple):
+            return NotImplemented
+        node = self
+        for g in reversed(goals):
+            node = GoalStack(g, node)
+        return node
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Goal]:
+        node = self
+        while node._len:
+            yield node.top  # type: ignore[misc]
+            node = node.rest  # type: ignore[assignment]
+
+    def __getitem__(self, i):
+        """`[i]` and `[k:]` walk i or k nodes, `[:k]` k nodes; any other
+        slice copies the stack to a tuple first."""
+        if isinstance(i, slice):
+            start, stop = i.start or 0, i.stop
+            if i.step is not None or start < 0 or (stop is not None and stop < 0):
+                return tuple(self)[i]
+        else:
+            start, stop = i + self._len if i < 0 else i, None
+            if not 0 <= start < self._len:
+                raise IndexError("goal stack index out of range")
+        node = self
+        for _ in range(min(start, self._len)):
+            node = node.rest  # type: ignore[assignment]
+        if not isinstance(i, slice):
+            return node.top
+        if stop is None:
+            return node
+        out = []
+        for _ in range(min(stop - start, node._len)):
+            out.append(node.top)
+            node = node.rest  # type: ignore[assignment]
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, tuple):
+            return self._len == len(other) and tuple(self) == other
+        if not isinstance(other, GoalStack):
+            return NotImplemented
+        a, b = self, other
+        if a._len != b._len:
+            return False
+        while a is not b:
+            if a.top != b.top:
+                return False
+            a, b = a.rest, b.rest  # type: ignore[assignment]
+        return True
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"GoalStack({tuple(self)!r})"
+
+    @property
+    def digest(self) -> str:
+        """The top four goals' text in a state digest."""
+        return ";".join(self._heads) + ("..." if self._len > 4 else "")
+
+
+EMPTY = GoalStack(None, None)
+
+
 @dataclass(frozen=True)
 class ExecutionState:
-    goals: tuple[Goal, ...]
+    """A goal stack and a store. Goals given as a tuple (or any iterable)
+    become a `GoalStack`."""
+
+    goals: GoalStack
     store: LabeledStore
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.goals, GoalStack):
+            object.__setattr__(self, "goals", tuple(self.goals) + EMPTY)
 
     @property
     def terminal(self) -> bool:
@@ -146,7 +251,7 @@ class ExecutionState:
 
 
 def initial_state(body: Iterable[Pattern]) -> ExecutionState:
-    return ExecutionState((InitGoal(tuple(body)),), LabeledStore())
+    return ExecutionState(EMPTY.push(InitGoal(tuple(body))), LabeledStore())
 
 
 STEP_KINDS = (
@@ -197,10 +302,10 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
     solves anything when the rule's heads are all atoms. An occurrence
     whose rule misses an atom partner in the store makes no search
     (`_least_match`)."""
-    if not state.goals:
+    goals = state.goals
+    if not goals:
         return None
-    goal, rest = state.goals[0], state.goals[1:]
-    store = state.store
+    goal, rest, store = goals.top, goals.rest, state.store
 
     if isinstance(goal, InitGoal):
         lazy_pats, eager_pats = [], []
@@ -218,14 +323,11 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
 
     if isinstance(goal, LazyGoal):
         store2, n = store.add(goal.atom)
-        return ExecutionState((ActGoal(goal.atom, n, 1),) + rest, store2), "lazy-act"
+        return ExecutionState(rest.push(ActGoal(goal.atom, n, 1)), store2), "lazy-act"
 
     if isinstance(goal, EagerGoal):
         if goal.label in store:
-            return (
-                ExecutionState((ActGoal(goal.atom, goal.label, 1),) + rest, store),
-                "eager-act",
-            )
+            return ExecutionState(rest.push(ActGoal(goal.atom, goal.label, 1)), store), "eager-act"
         return ExecutionState(rest, store), "eager-drop"
 
     if isinstance(goal, ActGoal):
@@ -234,13 +336,8 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
             return ExecutionState(rest, store), "act-drop"
         rule, pos = hit
         if rule.is_propagation:
-            return (
-                ExecutionState(
-                    (PropGoal(goal.atom, goal.label, goal.occurrence, frozenset()),) + rest,
-                    store,
-                ),
-                "act-prop",
-            )
+            prop = PropGoal(goal.atom, goal.label, goal.occurrence, frozenset())
+            return ExecutionState(rest.push(prop), store), "act-prop"
         m = _least_match(rule, pos, goal, store)
         n_prop = len(rule.propagated)
         if m is not None:
@@ -248,14 +345,9 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
             init = InitGoal(m.theta.apply(rule.body), (rule, m))
             if pos >= n_prop:
                 # Active constraint sits in the simplified head: it goes too.
-                return ExecutionState((init,) + rest, store2), "act-simpa-1"
+                return ExecutionState(rest.push(init), store2), "act-simpa-1"
             return ExecutionState((init, goal) + rest, store2), "act-simpa-2"
-        return (
-            ExecutionState(
-                (ActGoal(goal.atom, goal.label, goal.occurrence + 1),) + rest, store
-            ),
-            "act-next",
-        )
+        return ExecutionState(rest.push(ActGoal(goal.atom, goal.label, goal.occurrence + 1)), store), "act-next"
 
     if isinstance(goal, PropGoal):
         hit = pw.lookup(goal.occurrence)
@@ -271,12 +363,7 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
                 PropGoal(goal.atom, goal.label, goal.occurrence, new_hist),
             ) + rest
             return ExecutionState(goals, store), "prop-prop"
-        return (
-            ExecutionState(
-                (ActGoal(goal.atom, goal.label, goal.occurrence + 1),) + rest, store
-            ),
-            "prop-sat",
-        )
+        return ExecutionState(rest.push(ActGoal(goal.atom, goal.label, goal.occurrence + 1)), store), "prop-sat"
 
     raise TypeError(f"unknown goal {goal!r}")
 
@@ -287,21 +374,24 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
 
 def validate_state(pw: OccurrenceProgram, before: ExecutionState, after: ExecutionState) -> list[str]:
     """Problems the transition `before` -> `after` added to a valid `before`.
-    A transition pops the top goal and pushes goals onto the rest; it takes
-    fresh labels from `before.store.next_label` upwards and appends their
-    entries. So only the pushed goals and the fresh labels are checked."""
+    A transition pops the top goal and pushes goals onto the rest; the store
+    labels what it adds from `before.store.next_label` upwards. So only the
+    pushed goals and the fresh labels are checked: the entries `after`
+    holds beyond `before` (`LabeledStore.delta`, the edit between the two
+    versions) must carry exactly the labels the step gave."""
     problems: list[str] = []
-    pushed = after.goals[: max(len(after.goals) - len(before.goals) + 1, 0)]
-    for idx, g in enumerate(pushed):
+    node = after.goals
+    for idx in range(len(node) - len(before.goals) + 1):  # the pushed goals, top first
+        g, node = node.top, node.rest
         if isinstance(g, LazyGoal) and not pw.monotone(g.atom):
             problems.append(f"lazy goal holds non-monotone constraint {g.atom}")
         if isinstance(g, InitGoal) and idx != 0:
             problems.append("init goal below the top of the stack")
-    first, stop = before.store.next_label, after.store.next_label
-    entries = after.store.entries
-    kept = len(entries) - (stop - first)  # entries not labelled by this step
-    fresh = [n for n, _ in entries[max(kept, 0) :]]
-    if not 0 <= kept <= len(before.store.entries) or fresh != list(range(first, stop)):
+    old, new = before.store, after.store
+    _, added = old.delta(new)
+    first, stop = old.next_label, new.next_label
+    # `added` rises in label order, so its ends and its length fix it.
+    if len(added) != stop - first or added and (added[0][0], added[-1][0]) != (first, stop - 1):
         problems.append("duplicate store labels")
     return problems
 
@@ -326,12 +416,11 @@ class OpRun:
 
 
 def state_digest(s: ExecutionState) -> str:
-    """The top four goals and the store's tokens. The tokens' text is cached
-    on the immutable store, so a step that keeps the store pays only for
-    its goals."""
-    goals = ";".join(g.digest for g in s.goals[:4])
-    more = "..." if len(s.goals) > 4 else ""
-    return f"<[{goals}{more}] | {{{s.store.digest}}}>"
+    """The top four goals and the store's tokens. Both texts are kept where
+    they change: the goals' by each stack node (`GoalStack.digest`), the
+    store's by its newest version (`LabeledStore.digest`), so a digest
+    joins two strings."""
+    return f"<[{s.goals.digest}] | {{{s.store.digest}}}>"
 
 
 def run_operational(

@@ -26,6 +26,15 @@ by branch and bound and cuts every branch that cannot beat them, before
 validation. Instances to `exclude` are
 skipped as soon as their key is known: for a rule of atom heads only, when
 the last atom head takes its candidate, before anything is solved.
+
+The store searched, `LabeledStore`, is persistent by rerooting: the
+versions derived from one store share one mutable index (label -> atom,
+per-predicate and per-argument buckets as label-ordered lists), kept for
+the newest version or the last one read, and every other version keeps
+only the edit back to its neighbour. A derivation edits the index for the
+k entries it adds or removes; reading an older version re-applies the
+edits in between. The search reads one version's maps and buckets in
+place, so they are valid until another version of the family is read.
 """
 
 from __future__ import annotations
@@ -33,8 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -70,139 +78,243 @@ from .terms import (
 StoreItem = tuple[int, Atom]
 
 
-@dataclass(frozen=True)
+class _StoreIndex:
+    """The one mutable index of a family of `LabeledStore` versions, kept for
+    the family's root: `by_label` (label -> atom, in no particular order),
+    `items` (every (label, atom) entry), `by_pred` (predicate -> its
+    entries) and `by_arg`, the argument index: (predicate, argument
+    position) -> value -> the entries whose argument there is that value,
+    built for a pair on its first lookup and kept up to date from then on.
+    Every list holds its entries in label order; an emptied bucket is
+    dropped."""
+
+    __slots__ = ("by_label", "items", "by_pred", "by_arg", "positions")
+
+    def __init__(self) -> None:
+        self.by_label: dict[int, Atom] = {}
+        self.items: list[StoreItem] = []
+        self.by_pred: dict[str, list[StoreItem]] = {}
+        self.by_arg: dict[tuple[str, int], dict[Term, list[StoreItem]]] = {}
+        self.positions: dict[str, list[int]] = {}  # predicate -> its positions in `by_arg`
+
+    def edit(self, item: StoreItem, add: bool) -> None:
+        """One entry edit: add the entry (label, atom), or delete it."""
+        n, atom = item
+        if add:
+            self.by_label[n] = atom
+        else:
+            del self.by_label[n]
+        _edit_list(self.items, item, add)
+        _edit_bucket(self.by_pred, atom.pred, item, add)
+        for pos in self.positions.get(atom.pred, ()):
+            if pos < len(atom.args):
+                _edit_bucket(self.by_arg[atom.pred, pos], atom.args[pos], item, add)
+
+
+def _edit_bucket(buckets: dict, key: object, item: StoreItem, add: bool) -> None:
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = [item]
+    else:
+        _edit_list(bucket, item, add)
+        if not bucket:
+            del buckets[key]
+
+
+def _edit_list(bucket: list[StoreItem], item: StoreItem, add: bool) -> None:
+    """Insert `item` into, or delete it from, the label-ordered `bucket`.
+    `(n,)` sorts just before `(n, atom)`, and labels in a bucket are
+    distinct, so no atom is ever compared."""
+    n = item[0]
+    if add:
+        if not bucket or bucket[-1][0] < n:
+            bucket.append(item)
+        else:
+            bucket.insert(bisect_left(bucket, (n,)), item)
+    elif bucket[-1][0] == n:
+        bucket.pop()
+    else:
+        del bucket[bisect_left(bucket, (n,))]
+
+
 class LabeledStore:
     """Labeled constraints, indexed for head matching and state digests.
 
-    `entries` are (label, atom) pairs in label order. Beside them the store
-    keeps `by_label` (label -> atom), `by_pred` (predicate -> its entries in
-    label order), `tokens` (each entry's digest token `pred#label`) and
-    `by_arg`, the argument index: (predicate, argument position) -> value ->
-    the entries whose argument there is that value, in label order.
-    `lookup` builds a (predicate, position) index on its first use. `add`,
-    `add_many` and `remove` derive the new indexes, the argument index's
-    built pairs included, from the old ones; a store built from `entries`
-    alone indexes them once. The store is immutable: building an argument
-    index fills a cache that no other store shares, and changes no answer."""
+    A store is a persistent value: `add`, `add_many` and `remove` return a
+    new version and leave this one as it was. The versions derived from one
+    store built by `LabeledStore(entries, next_label)` form a family that
+    shares one mutable index (`_StoreIndex`), kept for one version, the
+    root: the newest version derived, or the last one read. Every other
+    version keeps only the edit back to its neighbour towards the root, the
+    k entries the neighbour lacks or holds beyond it, so a derivation costs
+    its k entries, never the store. Reading another version re-roots the
+    index there (Baker's trick; Conchon & Filliâtre, 2007): the edits
+    between the two are re-applied, and each edit on the path turns to
+    point at the new root. The checker's `before`, one edit behind the
+    machine's `after`, costs one edit to read.
 
-    entries: tuple[StoreItem, ...] = ()
-    next_label: int = 1  # labels are never reused, even after deletion
-    by_label: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-    by_pred: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-    tokens: tuple = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-    by_arg: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    Aliasing: `by_label`, `by_pred`, `by_arg`, `items()` and `lookup` hand
+    out the index's own maps and lists. What was read from one version is
+    valid until another version of the same family is read; copy it first
+    when both are needed (`delta` does).
 
-    def __post_init__(self) -> None:
-        if self.by_label is None:
-            index = _index(self.entries, {}, {}, (), {})
-            for name, value in zip(("by_label", "by_pred", "tokens", "by_arg"), index):
-                object.__setattr__(self, name, value)
+    Labels are never reused, even after deletion: `next_label` is the next
+    one `add` gives. `digest` is the store's text in a state digest: each
+    entry's token `pred#label`, in label order, rendered on first use. A
+    derived version's text is its parent's, grown by concatenation or
+    spliced on removal, and the parent then gives its own up: a garbage
+    cycle that holds an old version holds every newer one through the edit
+    links, so only the newest version keeps its text, and an older one
+    renders it again if asked."""
 
-    def items(self) -> tuple[StoreItem, ...]:
-        return self.entries
+    __slots__ = ("next_label", "_digest", "_len", "_index", "_link")
+
+    def __init__(self, entries: Iterable[StoreItem] = (), next_label: int = 1) -> None:
+        """The store holding `entries`, (label, atom) pairs whose labels rise
+        and stay below `next_label`; `ChrcpError` otherwise."""
+        index = _StoreIndex()
+        for item in entries:
+            n = item[0]
+            if n >= next_label or (index.items and n <= index.items[-1][0]):
+                raise ChrcpError(f"store label {n} is repeated, out of order or not below next label {next_label}")
+            index.edit(item, True)
+        self._derive(index, next_label, len(index.items), None)
+
+    def _derive(self, index: _StoreIndex, next_label: int, length: int, digest: str | None) -> "LabeledStore":
+        self._index, self.next_label, self._len, self._digest, self._link = index, next_label, length, digest, None
+        return self
+
+    def _root(self) -> _StoreIndex:
+        """The family's index, made this version's by re-applying the edits
+        between it and the root."""
+        if self._link is not None:
+            path = []
+            v: LabeledStore = self
+            while v._link is not None:
+                path.append(v)
+                v = v._link[0]
+            index = self._index
+            for v in reversed(path):
+                w, drop, put = v._link  # v = w - drop + put
+                for item in drop:
+                    index.edit(item, False)
+                for item in put:
+                    index.edit(item, True)
+                w._link, v._link = (v, put, drop), None
+        return self._index
+
+    @property
+    def by_label(self) -> dict[int, Atom]:
+        return self._root().by_label
+
+    @property
+    def by_pred(self) -> dict[str, list[StoreItem]]:
+        return self._root().by_pred
+
+    @property
+    def by_arg(self) -> dict[tuple[str, int], dict[Term, list[StoreItem]]]:
+        return self._root().by_arg
+
+    def items(self) -> list[StoreItem]:
+        """The (label, atom) entries in label order."""
+        return self._root().items
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            self._digest = ",".join(f"{a.pred}#{n}" for n, a in self.items())
+        return self._digest
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def digest(self) -> str:
-        """The store's text in a state digest: its tokens, joined once."""
-        return ",".join(self.tokens)
+        return self._len
 
     def __contains__(self, label: int) -> bool:
-        return label in self.by_label
+        return label in self._root().by_label
 
-    def lookup(self, pred: str, pos: int, value: Term) -> tuple[StoreItem, ...]:
+    def __repr__(self) -> str:
+        return f"LabeledStore({tuple(self.items())!r}, {self.next_label})"
+
+    def lookup(self, pred: str, pos: int, value: Term) -> Sequence[StoreItem]:
         """The entries of `pred` whose argument `pos` is `value`, in label
-        order."""
-        index = self.by_arg.get((pred, pos))
-        if index is None:
-            index = self.by_arg[pred, pos] = _arg_added({}, self.by_pred.get(pred, ()), pos)
-        return index.get(value, ())
+        order. The first lookup of a (pred, pos) pair indexes that pair."""
+        index = self._root()
+        by_value = index.by_arg.get((pred, pos))
+        if by_value is None:
+            by_value = index.by_arg[pred, pos] = {}
+            index.positions.setdefault(pred, []).append(pos)
+            for item in index.by_pred.get(pred, ()):
+                args = item[1].args
+                if pos < len(args):
+                    by_value.setdefault(args[pos], []).append(item)
+        return by_value.get(value, ())
 
     def add(self, atom: Atom) -> tuple["LabeledStore", int]:
         store, (n,) = self.add_many((atom,))
         return store, n
 
     def add_many(self, atoms: Iterable[Atom]) -> tuple["LabeledStore", list[int]]:
+        """The store with `atoms` added under fresh labels, and the labels."""
         new = tuple(enumerate(atoms, self.next_label))
+        if not new:
+            return self, []
+        index = self._root()
+        for item in new:
+            index.edit(item, True)
+        text = self._digest
+        if text is not None:
+            tokens = ",".join(f"{a.pred}#{n}" for n, a in new)
+            text = f"{text},{tokens}" if text else tokens
         stop = self.next_label + len(new)
-        index = _index(new, self.by_label, self.by_pred, self.tokens, self.by_arg)
-        return LabeledStore(self.entries + new, stop, *index), list(range(self.next_label, stop))
+        store = object.__new__(LabeledStore)._derive(index, stop, self._len + len(new), text)
+        self._link, self._digest = (store, new, ()), None
+        return store, list(range(self.next_label, stop))
 
     def remove(self, labels: Iterable[int]) -> "LabeledStore":
-        gone = sorted({n for n in labels if n in self.by_label})
+        """The store without the entries of the held `labels`."""
+        index = self._root()
+        by_label = index.by_label
+        gone = tuple((n, by_label[n]) for n in sorted({n for n in labels if n in by_label}))
         if not gone:
             return self
-        by_label, by_pred = dict(self.by_label), dict(self.by_pred)
-        by_group: dict[str, list[StoreItem]] = {}
-        for n in gone:
-            a = by_label.pop(n)
-            by_group.setdefault(a.pred, []).append((n, a))
-        for pred, es in by_group.items():
-            bucket = by_pred.pop(pred)
-            if len(es) < len(bucket):
-                by_pred[pred] = _cut(bucket, [bisect_left(bucket, (n,)) for n, _ in es])
-        by_arg = {
-            (pred, pos): _arg_removed(index, by_group[pred], pos) if pred in by_group else index
-            for (pred, pos), index in self.by_arg.items()
-        }
-        at = [bisect_left(self.entries, (n,)) for n in gone]  # (n,) sorts just before (n, atom)
-        return LabeledStore(_cut(self.entries, at), self.next_label, by_label, by_pred, _cut(self.tokens, at), by_arg)
+        text = None if self._digest is None else _spliced(self._digest, gone)
+        for item in gone:
+            index.edit(item, False)
+        store = object.__new__(LabeledStore)._derive(index, self.next_label, self._len - len(gone), text)
+        self._link, self._digest = (store, (), gone), None
+        return store
+
+    def delta(self, other: "LabeledStore") -> tuple[tuple[StoreItem, ...], tuple[StoreItem, ...]]:
+        """(removed, added): the entries this version holds and `other` does
+        not, and those `other` holds and this one does not, in label order.
+        Between a version and one derived from it, this is the edit that
+        links them, read without re-rooting; any other pair is compared
+        whole."""
+        if other is self:
+            return (), ()
+        if other._link is not None and other._link[0] is self:
+            return other._link[1], other._link[2]
+        if self._link is not None and self._link[0] is other:
+            return self._link[2], self._link[1]
+        mine = dict(self.items())
+        theirs = dict(other.items())
+        removed = tuple((n, a) for n, a in mine.items() if theirs.get(n) != a)
+        return removed, tuple((n, a) for n, a in theirs.items() if mine.get(n) != a)
 
 
-def _index(
-    new: tuple[StoreItem, ...], by_label: dict, by_pred: dict, tokens: tuple, by_arg: dict
-) -> tuple[dict, dict, tuple, dict]:
-    """(by_label, by_pred, tokens, by_arg) of a store indexed by the given
-    four once the label-ordered entries `new` are appended to it."""
-    by_label = {**by_label, **dict(new)}
-    grouped: dict[str, list[StoreItem]] = {}
-    for e in new:
-        grouped.setdefault(e[1].pred, []).append(e)
-    by_pred = dict(by_pred)
-    for pred, es in grouped.items():
-        by_pred[pred] = by_pred.get(pred, ()) + tuple(es)
-    # A new dict even when empty: each store fills its own on a lookup.
-    by_arg = {
-        (pred, pos): _arg_added(index, grouped[pred], pos) if pred in grouped else index
-        for (pred, pos), index in by_arg.items()
-    }
-    return by_label, by_pred, tokens + tuple(f"{a.pred}#{n}" for n, a in new), by_arg
-
-
-def _arg_added(index: dict, entries: Iterable[StoreItem], pos: int) -> dict:
-    """An argument index (value -> entries) on `pos` with the entries
-    appended; they come after its own in label order. Atoms with no
-    argument `pos` are not indexed."""
-    grouped: dict[Term, list[StoreItem]] = {}
-    for e in entries:
-        args = e[1].args
-        if pos < len(args):
-            grouped.setdefault(args[pos], []).append(e)
-    out = dict(index)
-    for value, es in grouped.items():
-        out[value] = out.get(value, ()) + tuple(es)
-    return out
-
-
-def _arg_removed(index: dict, gone: list[StoreItem], pos: int) -> dict:
-    """An argument index on `pos` without the held entries `gone`, in label order."""
-    grouped: dict[Term, list[int]] = {}
-    for n, a in gone:
-        if pos < len(a.args):
-            grouped.setdefault(a.args[pos], []).append(n)
-    out = dict(index)
-    for value, ns in grouped.items():
-        bucket = out.pop(value)
-        if len(ns) < len(bucket):
-            out[value] = _cut(bucket, [bisect_left(bucket, (n,)) for n in ns])
-    return out
-
-
-def _cut(seq: tuple, positions: list[int]) -> tuple:
-    """`seq` without the items at the ascending `positions`."""
-    return tuple(chain.from_iterable(seq[a + 1 : b] for a, b in zip([-1, *positions], [*positions, len(seq)])))
+def _spliced(digest: str, gone: Iterable[StoreItem]) -> str:
+    """`digest` without the tokens of the held entries `gone`, given in
+    label order. A label is held once and `#` precedes only labels, so
+    `#n,` ends label n's token in `digest + ","`, and the tokens rise in
+    label order: one pass finds them all."""
+    text = digest + ","
+    parts, at = [], 0
+    for n, atom in gone:
+        mark = f"#{n},"
+        end = text.index(mark, at) + len(mark)
+        parts.append(text[at : end - len(mark) - len(atom.pred)])
+        at = end
+    parts.append(text[at:])
+    return "".join(parts)[:-1]
 
 
 # False while `maximality_disabled` is active. Only the goal-stack machine
@@ -832,7 +944,7 @@ def enumerate_matches(
     return results
 
 
-def _atom_candidates(store: LabeledStore, pat: Atom, env: dict[str, Term]) -> tuple[StoreItem, ...]:
+def _atom_candidates(store: LabeledStore, pat: Atom, env: dict[str, Term]) -> Sequence[StoreItem]:
     """The items an atom head of a normalized rule tries under `env`, in
     label order: where one of its argument variables is bound, the
     argument index's entries for that value (an atom outside them fails
@@ -845,7 +957,7 @@ def _atom_candidates(store: LabeledStore, pat: Atom, env: dict[str, Term]) -> tu
 
 def _candidates(
     store: LabeledStore, pred: str, f: CompFilter, env: dict[str, Term], solvable: frozenset[str]
-) -> tuple[StoreItem, ...]:
+) -> Sequence[StoreItem]:
     """The items a comprehension head of predicate `pred` and filter `f`
     tries under `env`, in label order: the predicate's bucket, or, where
     the guard pins an argument position (`_pin`), the argument index's

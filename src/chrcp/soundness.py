@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 from .errors import BudgetError, NonGroundError, RebindError, TermTypeError
@@ -77,28 +78,26 @@ def correspondence(state: ExecutionState) -> Store:
 
 def _pushed(before: ExecutionState, after: ExecutionState) -> int | None:
     """How many goals the step pushed onto the rest of `before`'s stack, or
-    None when it changed a goal below the top."""
-    below = before.goals[1:]
+    None when it changed a goal below the top. The machine pushes onto the
+    very stack it popped (`GoalStack` shares its tails), so the rest is
+    found by identity; a stack built apart from it counts as changed, and
+    is then erased whole."""
+    below = before.goals.rest
     top = len(after.goals) - len(below)
-    return top if top >= 0 and after.goals[top:] == below else None
+    return top if top >= 0 and after.goals[top:] is below else None
 
 
 def _change(before: ExecutionState, after: ExecutionState, top: int) -> tuple[list[Atom], list[Atom]]:
-    """The step's (out, put): the popped goal's pending atoms plus its
-    removed atoms, and the `top` pushed goals' pending atoms plus its added
-    atoms. A label keeps its atom while it is held: the store is immutable,
-    and `validate_state`, applied by `run_operational` before any observer
-    sees the step, keeps new labels fresh, so the added labels are those
-    from `before.store.next_label` on. The two stores' sizes then tell
-    whether any label was removed, and only then are their labels
-    compared."""
-    out, put = _pending(before.goals[:1]), _pending(after.goals[:top])
-    old, new = before.store, after.store
-    if new is not old:
-        added = range(old.next_label, new.next_label)
-        put += [new.by_label[n] for n in added]
-        if len(new) - len(added) < len(old):
-            out += [old.by_label[n] for n in old.by_label.keys() - new.by_label.keys()]
+    """The step's (out, put): the popped goal's pending atoms plus the
+    atoms of the entries it removed, and the `top` pushed goals' pending
+    atoms plus the atoms of the entries it added. The entries come from
+    `LabeledStore.delta`: the edit that links the two store versions, read
+    without re-rooting either, so the answer does not depend on which of
+    the two was read last."""
+    out, put = _pending([before.goals.top]), _pending(islice(after.goals, top))
+    removed, added = before.store.delta(after.store)
+    out += [a for _, a in removed]
+    put += [a for _, a in added]
     return out, put
 
 
@@ -215,7 +214,7 @@ def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: Executio
         out, put = _change(before, after, top)
         if _balanced(out, put):
             return StepClass(SILENT)
-    first = after.goals[0] if after.goals else None
+    first = after.goals.top  # None on the empty stack
     if isinstance(first, InitGoal) and first.cause is not None:
         try:
             astep = _confirm_certificate(*first.cause, before, out, put)

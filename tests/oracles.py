@@ -390,7 +390,7 @@ def whole_state_problems(pw, state) -> list[str]:
             problems.append(f"lazy goal holds non-monotone constraint {g.atom}")
         if isinstance(g, InitGoal) and idx != 0:
             problems.append("init goal below the top of the stack")
-    labels = [n for n, _ in state.store.entries]
+    labels = [n for n, _ in state.store.items()]
     if len(set(labels)) != len(labels):
         problems.append("duplicate store labels")
     return problems

@@ -11,6 +11,7 @@ from chrcp.bundled import PROGRAMS, STORES
 from chrcp.errors import ChrcpError
 from chrcp.fuzz import generate_random
 from chrcp.machine import (
+    EMPTY,
     ActGoal,
     EagerGoal,
     ExecutionState,
@@ -72,16 +73,65 @@ class TestLabeledStore:
         s, n2 = s.add(Atom("p", (Int(1),)))
         assert n2 == 2 and n1 not in s
 
+    @pytest.mark.parametrize(
+        "entries, next_label",
+        [
+            (((1, Atom("a", (Int(1),))), (1, Atom("b", (Int(1),)))), 2),  # a label given twice
+            (((5, Atom("a", (Int(1),))),), 2),  # a label at or past next_label
+            (((2, Atom("a", (Int(1),))), (1, Atom("b", (Int(1),)))), 3),  # labels out of order
+        ],
+    )
+    def test_rejects_labels_its_index_cannot_hold(self, entries, next_label):
+        """The index keys atoms by label and adds after the last label: a
+        repeated label, one at or past `next_label`, or labels out of order
+        would make it disagree with the entries."""
+        with pytest.raises(ChrcpError, match="store label"):
+            LabeledStore(entries, next_label)
+
+    def test_older_versions_keep_their_contents(self):
+        p = [Atom("p", (Int(i),)) for i in range(4)]
+        s0, _ = LabeledStore().add_many(p[:2])
+        s1 = s0.remove([1])
+        s2, _ = s1.add(p[2])
+        assert [n for n, _ in s0.items()] == [1, 2] and 1 in s0
+        assert [n for n, _ in s2.items()] == [2, 3] and 1 not in s2
+        branch, n = s0.add(p[3])  # derived from an older version
+        assert n == 3 and branch.items() == [(1, p[0]), (2, p[1]), (3, p[3])]
+        assert s2.items() == [(2, p[1]), (3, p[2])]
+        assert (s0.digest, s1.digest, s2.digest, branch.digest) == ("p#1,p#2", "p#2", "p#2,p#3", "p#1,p#2,p#3")
+
+    def test_delta_of_any_two_versions(self, remove_min_program, remove_min_store):
+        """`delta` reads the edit between neighbouring versions without
+        re-rooting, and compares any other pair whole; both agree with the
+        entries each version holds."""
+        states = []
+
+        def keep(ev):
+            states.extend([ev.before, ev.after] if not states else [ev.after])
+
+        run_operational(annotate(remove_min_program), remove_min_store, observer=keep)
+        assert len(states) > 10
+        rng = random.Random(0)
+        pairs = [(i, i + 1) for i in range(len(states) - 1)]
+        pairs += [tuple(rng.sample(range(len(states)), 2)) for _ in range(40)]
+        for i, j in pairs + [(j, i) for i, j in pairs]:
+            old, new = states[i].store, states[j].store
+            removed, added = old.delta(new)
+            old_items, new_items = tuple(old.items()), tuple(new.items())
+            assert removed == tuple(e for e in old_items if e not in new_items)
+            assert added == tuple(e for e in new_items if e not in old_items)
+
 
 class StoreAgainstModel(RuleBasedStateMachine):
     """Drives `LabeledStore` and the unindexed `ModelStore` through the same
     updates; after each one they must hold the same entries, answer `in` and
     `len` alike, bucket each predicate's labels in label order, and digest
-    alike. The updated index must equal one built from the entries afresh.
+    alike. The index must equal one built from the entries afresh.
     Argument lookups, made now and then, build a (predicate, position)
-    index that later stores carry along: every carried index must hold what
-    the model's entries give, and a fresh store's lookups must agree with
-    the model's."""
+    index that later edits keep: every kept index must hold what the
+    model's entries give, and a fresh store's lookups must agree with the
+    model's. The store is persistent: older (store, model) pairs are kept,
+    re-read after newer stores were derived, and derived from (a branch)."""
 
     atoms = st.builds(
         Atom, st.sampled_from("pqr"), st.lists(st.integers(0, 3).map(Int), max_size=2).map(tuple)
@@ -90,6 +140,7 @@ class StoreAgainstModel(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.store, self.model = LabeledStore(), ModelStore()
+        self.kept: list = []
 
     @rule(atom=atoms)
     def add(self, atom):
@@ -114,27 +165,102 @@ class StoreAgainstModel(RuleBasedStateMachine):
 
     @rule(pred=st.sampled_from("pqr"), pos=st.integers(0, 1), value=st.integers(0, 3).map(Int))
     def lookup(self, pred, pos, value):
-        assert self.store.lookup(pred, pos, value) == self.model.lookup(pred, pos, value)
+        assert list(self.store.lookup(pred, pos, value)) == list(self.model.lookup(pred, pos, value))
 
-    @invariant()
-    def agree(self):
-        store, model = self.store, self.model
-        assert store.entries == model.entries and store.next_label == model.next_label
+    @rule()
+    def keep(self):
+        self.kept.append((self.store, self.model))
+
+    @precondition(lambda self: self.kept)
+    @rule(data=st.data())
+    def reread(self, data):
+        store, model = data.draw(st.sampled_from(self.kept))
+        self.agree_with(store, model)
+        for pred, pos, value in itertools.product("pqr", (0, 1), map(Int, range(4))):
+            assert list(store.lookup(pred, pos, value)) == list(model.lookup(pred, pos, value))
+
+    @precondition(lambda self: self.kept)
+    @rule(data=st.data(), atom=atoms)
+    def branch(self, data, atom):
+        self.kept.append((self.store, self.model))
+        store, model = data.draw(st.sampled_from(self.kept))
+        (self.store, n), (self.model, m) = store.add(atom), model.add(atom)
+        assert n == m
+
+    @staticmethod
+    def agree_with(store, model):
+        assert tuple(store.items()) == model.entries and store.next_label == model.next_label
         assert len(store) == len(model)
         assert all((n in store) == (n in model) for n in range(model.next_label + 2))
         assert {p: tuple(n for n, _ in b) for p, b in store.by_pred.items()} == model.buckets()
         goals = (ActGoal(Atom("p"), 1, 1),)
         assert state_digest(ExecutionState(goals, store)) == state_digest(ExecutionState(goals, model))
-        fresh = LabeledStore(store.entries, store.next_label)
-        assert (fresh.by_label, fresh.by_pred, fresh.tokens) == (store.by_label, store.by_pred, store.tokens)
         for (pred, pos), index in store.by_arg.items():
-            assert index == model.arg_index(pred, pos)
+            assert {v: tuple(b) for v, b in index.items()} == model.arg_index(pred, pos)
+
+    @invariant()
+    def agree(self):
+        store, model = self.store, self.model
+        self.agree_with(store, model)
+        fresh = LabeledStore(store.items(), store.next_label)
+        assert (fresh.by_label, fresh.by_pred, fresh.digest) == (store.by_label, store.by_pred, store.digest)
         for pred, pos, value in itertools.product("pqr", (0, 1), map(Int, range(4))):
-            assert fresh.lookup(pred, pos, value) == model.lookup(pred, pos, value)
+            assert list(fresh.lookup(pred, pos, value)) == list(model.lookup(pred, pos, value))
 
 
 TestStoreAgainstModel = StoreAgainstModel.TestCase
 TestStoreAgainstModel.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
+
+
+class StackAgainstTuple(RuleBasedStateMachine):
+    """Drives `GoalStack` and a tuple of goals, top first, through pushes
+    and pops; every older (stack, tuple) pair is kept, and each must read
+    like its tuple: `len`, `[i]`, `[:k]`, `[k:]`, iteration, `==` against a
+    tuple and a stack, `tuple + stack`, and the digest text."""
+
+    goals = st.builds(ActGoal, st.builds(Atom, st.sampled_from("pq")), st.integers(1, 3), st.integers(1, 3))
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pairs = [(EMPTY, ())]
+
+    @rule(data=st.data(), goal=goals)
+    def push(self, data, goal):
+        stack, model = data.draw(st.sampled_from(self.pairs))
+        pushed = stack.push(goal)
+        assert pushed[1:] is stack
+        self.pairs.append((pushed, (goal,) + model))
+
+    @rule(data=st.data(), goals=st.lists(goals, max_size=3).map(tuple))
+    def push_tuple(self, data, goals):
+        stack, model = data.draw(st.sampled_from(self.pairs))
+        pushed = goals + stack
+        assert pushed[len(goals) :] is stack  # the tail is shared, not copied
+        self.pairs.append((pushed, goals + model))
+
+    @rule(data=st.data(), k=st.integers(0, 6))
+    def pop(self, data, k):
+        stack, model = data.draw(st.sampled_from(self.pairs))
+        self.pairs.append((stack[k:], model[k:]))
+
+    @invariant()
+    def agree(self):
+        for stack, model in self.pairs:
+            n = len(model)
+            assert len(stack) == n and bool(stack) == bool(model)
+            assert list(stack) == list(model) and stack == model and stack == (model + EMPTY)
+            assert all(stack[i] == model[i] for i in range(-n, n))
+            for k in range(n + 2):
+                assert stack[:k] == model[:k] and stack[k:] == model[k:]
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    stack[i]
+            more = "..." if n > 4 else ""
+            assert stack.digest == ";".join(g.digest for g in model[:4]) + more
+
+
+TestStackAgainstTuple = StackAgainstTuple.TestCase
+TestStackAgainstTuple.settings = settings(max_examples=60, stateful_step_count=20, deadline=None)
 
 
 class TestStepDispatch:
@@ -147,7 +273,7 @@ class TestStepDispatch:
         assert kind == "init"
         # both a-atoms unify with the comprehension head: stored eagerly
         assert all(isinstance(g, EagerGoal) for g in state.goals)
-        assert len(state.store.entries) == 2
+        assert len(state.store) == 2
 
     def test_init_lazy_goals_precede_eager(self):
         p = parse_program("r @ {a(X)}#{X in Xs} <=> true.")
@@ -224,7 +350,7 @@ class TestRuns:
         states = []
         run_operational(pw, remove_min_store, observer=lambda ev: states.append(ev.after))
         for s in states:
-            labels = [n for n, _ in s.store.entries]
+            labels = [n for n, _ in s.store.items()]
             assert len(set(labels)) == len(labels)
 
     def test_invalid_state_raises_chrcp_error(self, relabel_program, monkeypatch):
@@ -240,7 +366,7 @@ class TestRuns:
     def test_store_cap_flag(self):
         p = parse_program("loop @ p(X) ==> p(X).")
         run = run_operational(annotate(p), parse_store("p(1)."), max_store=3)
-        assert run.truncated == "store cap 3" and len(run.state.store.entries) == 4
+        assert run.truncated == "store cap 3" and len(run.state.store) == 4
 
     def test_act_simpa_2_retains_active(self):
         p = parse_program("r @ p(X) \\ q(X) <=> s(X).")
@@ -252,7 +378,7 @@ class TestRuns:
 class TestValidateTransition:
     """`validate_state` checks what one transition pushed and labelled; each
     hand-built pair breaks one invariant, which the whole-state reference
-    also reports."""
+    also reports unless only the transition shows it."""
 
     a1 = Atom("a", (Int(1),))
     b1 = Atom("b", (Int(1),))
@@ -274,12 +400,21 @@ class TestValidateTransition:
         after = ExecutionState((ActGoal(self.b1, 1, 2), InitGoal(())), store)
         self.check(pw, before, after, "init goal below the top of the stack")
 
-    def test_label_given_twice(self, relabel_program):
+    def test_label_given_twice(self):
+        """A store cannot hold one label twice: it is rejected when built,
+        so no transition reaches one."""
+        with pytest.raises(ChrcpError, match="store label 1 is repeated"):
+            LabeledStore(((1, self.a1), (1, self.b1)), 2)
+
+    def test_label_given_again(self, relabel_program):
+        """A label the store held before the step, given to another atom: the
+        whole state looks valid, but the step labelled an atom with a label
+        that is not fresh."""
         pw = annotate(relabel_program)
         before = ExecutionState((LazyGoal(self.b1),), LabeledStore(((1, self.a1),), 2))
-        relabelled = LabeledStore(((1, self.a1), (1, self.b1)), 2)
-        after = ExecutionState((ActGoal(self.b1, 1, 1),), relabelled)
-        self.check(pw, before, after, "duplicate store labels")
+        after = ExecutionState((ActGoal(self.b1, 1, 1),), LabeledStore(((1, self.b1),), 2))
+        assert validate_state(pw, before, after) == ["duplicate store labels"]
+        assert whole_state_problems(pw, after) == []
 
     def test_real_transitions_pass(self, relabel_program):
         pw = annotate(relabel_program)
@@ -577,6 +712,26 @@ class TestWorkBounds:
         run = run_operational(annotate(corpus_program("pivot_swap_pure")), parse_store(pivot_store_text(50)))
         assert run.truncated is None and len(run.state.store) == 100
         assert len(calls) <= 807
+
+    @pytest.mark.parametrize("program", ["copy_prop", "pivot_swap_pure"])
+    def test_store_edits_what_each_step_changes(self, monkeypatch, program):
+        """Each step edits the store's one index once per label it adds or
+        removes, over `copy_prop` on 200 p's and `pivot_swap_pure` on 50
+        data per agent: a derivation that copied or rebuilt the index would
+        edit every entry it holds."""
+        from chrcp import match
+
+        rng = random.Random(0)
+        texts = {
+            "copy_prop": ", ".join(f"p({rng.randrange(1000)})" for _ in range(200)) + ".",
+            "pivot_swap_pure": pivot_store_text(50),
+        }
+        edits = self.counted(monkeypatch, match._StoreIndex, "edit")
+        run = run_operational(annotate(corpus_program(program)), parse_store(texts[program]))
+        assert run.truncated is None
+        added = run.state.store.next_label - 1
+        removed = added - len(run.state.store)
+        assert added > 200 and len(edits) == added + removed
 
     def test_argument_blind_heads_need_no_verdict(self, pivot_program, monkeypatch):
         """`data` is absorbed whatever its arguments, so only the two body

@@ -178,7 +178,7 @@ def random_searches():
         program, init = generate_random(seed)
         store = labeled(enumerate(init, 1))
         for rule in program.rules:
-            anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in store.entries]
+            anchors = [None] + [(h, n) for h in range(len(rule.heads)) for n, _ in store.items()]
             for relaxed in (False, True):
                 for anchor in anchors:
                     full = enumerate_matches(rule, store, anchor, maximal=not relaxed)

@@ -25,6 +25,9 @@ from chrcp.soundness import (
     ABSTRACT,
     SILENT,
     VIOLATION,
+    _change,
+    _pending,
+    _pushed,
     check_soundness,
     classify_step,
     correspondence,
@@ -149,6 +152,23 @@ class TestClassify:
             cls = classify_step(pw, ev.before, ev.after)
             assert cls.kind == ABSTRACT and cls.step is not None
             assert cls.before is None and cls.after is None
+
+    def test_change_reads_the_same_in_either_order(self, remove_min_program, remove_min_store):
+        """A step's change is the same whichever of its two stores was read
+        last, and it is what the two stores' entries differ by."""
+        pw, events = self.collect(remove_min_program, remove_min_store)
+        changed = [ev for ev in events if ev.before.store is not ev.after.store]
+        assert any(len(ev.after.store) < len(ev.before.store) for ev in changed)
+        for ev in changed:
+            top = _pushed(ev.before, ev.after)
+            old, new = dict(ev.before.store.items()), dict(ev.after.store.items())
+            gone = [a for n, a in old.items() if n not in new]
+            put = [a for n, a in new.items() if n not in old]
+            pending = _pending(ev.before.goals[:1]), _pending(ev.after.goals[:top])
+            expected = (pending[0] + gone, pending[1] + put)
+            for first in (ev.before, ev.after, ev.before):
+                first.store.by_label  # re-roots the index at that store
+                assert _change(ev.before, ev.after, top) == expected
 
     def test_swapping_goals_below_the_top_is_silent(self):
         p = parse_program("r @ p(X), q(X) <=> s(X).")
