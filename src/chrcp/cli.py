@@ -33,7 +33,7 @@ from .fuzz import STORE_CAP, generate_random
 from .machine import annotate, run_operational
 from .monotone import predicate_report, residual_non_unifiable
 from .parse import load_program, load_store, pretty_pattern, pretty_store
-from .rewrite import MAX_STEPS, run_abstract, store_of
+from .rewrite import MAX_STEPS, run_abstract
 from .rules import Atom, Comprehension, Rule
 from .soundness import check_soundness, correspondence, trace_record, trace_records
 
@@ -96,7 +96,7 @@ def cmd_run(args) -> int:
                 "without removing a constraint and may fire until --max-steps",
                 file=sys.stderr,
             )
-        run = run_abstract(program, store_of(store), max_steps=args.max_steps, seed=args.seed)
+        run = run_abstract(program, store, max_steps=args.max_steps, seed=args.seed)
         final = run.final
         records = (trace_record(i, "apply", rule=step.rule) for i, step in enumerate(run.steps))
     else:

@@ -90,12 +90,19 @@ class _StoreIndex:
 
     __slots__ = ("by_label", "items", "by_pred", "by_arg", "positions")
 
-    def __init__(self) -> None:
-        self.by_label: dict[int, Atom] = {}
-        self.items: list[StoreItem] = []
+    def __init__(self, items: list[StoreItem]) -> None:
+        """The index of `items`, entries in label order, built in one pass."""
+        self.by_label: dict[int, Atom] = dict(items)
+        self.items: list[StoreItem] = items
         self.by_pred: dict[str, list[StoreItem]] = {}
         self.by_arg: dict[tuple[str, int], dict[Term, list[StoreItem]]] = {}
         self.positions: dict[str, list[int]] = {}  # predicate -> its positions in `by_arg`
+        for item in items:
+            bucket = self.by_pred.get(item[1].pred)
+            if bucket is None:
+                self.by_pred[item[1].pred] = [item]
+            else:
+                bucket.append(item)
 
     def edit(self, item: StoreItem, add: bool) -> None:
         """One entry edit: add the entry (label, atom), or delete it."""
@@ -172,13 +179,13 @@ class LabeledStore:
     def __init__(self, entries: Iterable[StoreItem] = (), next_label: int = 1) -> None:
         """The store holding `entries`, (label, atom) pairs whose labels rise
         and stay below `next_label`; `ChrcpError` otherwise."""
-        index = _StoreIndex()
-        for item in entries:
-            n = item[0]
-            if n >= next_label or (index.items and n <= index.items[-1][0]):
+        items = list(entries)
+        last = None
+        for n, _ in items:
+            if n >= next_label or (last is not None and n <= last):
                 raise ChrcpError(f"store label {n} is repeated, out of order or not below next label {next_label}")
-            index.edit(item, True)
-        self._derive(index, next_label, len(index.items), None)
+            last = n
+        self._derive(_StoreIndex(items), next_label, len(items), None)
 
     def _derive(self, index: _StoreIndex, next_label: int, length: int, digest: str | None) -> "LabeledStore":
         self._index, self.next_label, self._len, self._digest, self._link = index, next_label, length, digest, None
@@ -939,7 +946,10 @@ def enumerate_matches(
                 continue
             match_atoms(pending[1:], env2, chosen2)
 
-    match_atoms(atom_idx, {}, {})
+    try:
+        match_atoms(atom_idx, {}, {})
+    finally:
+        del match_atoms  # the recursive closure holds its own cell: a cycle
     results.sort(key=lambda m: m.blocks)
     return results
 

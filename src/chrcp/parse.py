@@ -11,15 +11,22 @@ Grammar sketch (full EBNF in docs/grammar.md):
 
 Variables start upper-case, symbols and predicates lower-case; '%' comments
 run to end of line. Stores are comma-separated ground atoms ending in '.'.
+
+The lexer reads the text in one pass of one pattern, and each token keeps
+only its offset: a line and column are computed from it when an error is
+raised. One parser serves programs and stores. A term argument that is a
+lone integer or symbol is built without the descent through the operator
+levels, and a store atom whose arguments are all literals is ground and
+normal as parsed; any other store atom is checked and normalized, and an
+error there names the atom's `path:line:col`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ChrcpError, NonGroundError, ParseError, ScopeError
+from .errors import ChrcpError, NonGroundError, ParseError, RebindError, ScopeError, TermTypeError
 from .rules import (
     Atom,
     Comprehension,
@@ -29,6 +36,7 @@ from .rules import (
     check_program,
     classify_binds,
     ground_atom,
+    is_literal_atom,
     patterns_free_vars,
 )
 from .terms import (
@@ -65,62 +73,75 @@ KEYWORDS = {"in", "true", "false", "infty", "reduce"}
 # inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# One match per token: the whitespace and comments before it, then the
+# token. `eof` matches at the end of the text, and `bad` at any character
+# that starts no token, so consecutive matches cover the text without gaps
+# and the leading skip is never backtracked into.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<int>\d+)
+    r"""(?:\s+|%[^\n]*)*
+      (?:
+        (?P<int>\d+)
       | (?P<var>[A-Z_][A-Za-z0-9_]*)
       | (?P<sym>[a-z][A-Za-z0-9_]*)
       | (?P<punct><=>|==>|!=|<=|>=|\\|@|\||\#|\{|\}|\(|\)|\[|\]|,|\.|=|<|>|\+|-|\*)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+      )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # int | var | sym | keyword | punct | eof
-    text: str
-    line: int
-    col: int
+    """One token: its kind (int | var | sym | keyword | punct | eof), its
+    text, and the offset of its first character in the source."""
+
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind, self.text, self.offset = kind, text, offset
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The (line, column) of `offset` in `text`, both counted from 1; a
+    column counts characters."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str, path: str = "<input>") -> list[Token]:
+    """The tokens of `text`, ending in one `eof` token; `ParseError` at the
+    first character that starts no token."""
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col, path)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "sym" and chunk in KEYWORDS:
-                tokens.append(Token("keyword", chunk, line, col))
-            else:
-                tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        chunk = m[kind]
+        offset = m.end() - len(chunk)
+        if kind == "sym" and chunk in KEYWORDS:
+            kind = "keyword"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", *position(text, offset), path)
+        tokens.append(Token(kind, chunk, offset))
+        if kind == "eof":  # text ending in a skip matches `eof` twice
+            break
     return tokens
 
 
+# The tokens that can follow a term argument that is a lone literal.
+_LITERAL_END = frozenset((",", ")", "]", "}", "|", "."))
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, path: str):
+        self.text = text
+        self.tokens = tokenize(text, path)
+        self.pos = 0  # never past the `eof` token
         self.path = path
         self.depth = 0
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -145,8 +166,7 @@ class _Parser:
         return self.next()
 
     def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col, self.path)
+        raise ParseError(message, *position(self.text, self.peek().offset), self.path)
 
     def descend(self) -> None:  # callers restore `depth` on return
         self.depth += 1
@@ -330,6 +350,16 @@ class _Parser:
     # -- terms
 
     def parse_term(self) -> Term:
+        t = self.tokens[self.pos]
+        if (
+            (t.kind == "int" or t.kind == "sym")
+            and self.tokens[self.pos + 1].text in _LITERAL_END
+            and self.depth < MAX_NESTING
+        ):
+            # A lone integer or symbol: what the descent below builds for it,
+            # short of the level it would add, which `descend` would reject.
+            self.pos += 1
+            return Int(int(t.text)) if t.kind == "int" else Sym(t.text)
         depth = self.depth
         self.descend()
         t = self.parse_mult()
@@ -396,7 +426,7 @@ class _Parser:
                 return Reduce(fn, unit, domain)
             self.fail(f"unexpected keyword {t.text!r} in term")
         if t.kind == "sym":
-            if t.text in ("min", "max") and self.peek(1).text == "(":
+            if t.text in ("min", "max") and self.tokens[self.pos + 1].text == "(":
                 op = self.next().text
                 self.expect("(")
                 a = self.parse_term()
@@ -444,18 +474,36 @@ class _Parser:
     # -- stores
 
     def parse_store(self) -> tuple[Atom, ...]:
+        """The store's atoms, ground and normal. A literal atom is so as
+        parsed; the others are checked and normalized after the whole text
+        has parsed, and an error there names the atom's position."""
         atoms: list[Atom] = []
+        others: list[tuple[int, int]] = []  # (index, offset) of each atom not literal
         if self.peek().kind != "eof" and not self.at("."):
-            atoms.append(self.parse_atom())
-            while self.accept(","):
-                atoms.append(self.parse_atom())
+            while True:
+                offset = self.peek().offset
+                atom = self.parse_atom()
+                if not is_literal_atom(atom):
+                    others.append((len(atoms), offset))
+                atoms.append(atom)
+                if not self.accept(","):
+                    break
         self.accept(".")
         if self.peek().kind != "eof":
             self.fail("trailing input after store")
-        for a in atoms:
-            if a.free_vars():
-                raise NonGroundError(f"store constraint {pretty_pattern(a)} is not ground")
-        return tuple(ground_atom(a) for a in atoms)
+        for i, offset in others:
+            if atoms[i].free_vars():
+                raise NonGroundError(f"{self.where(offset)}: store constraint {pretty_pattern(atoms[i])} is not ground")
+        for i, offset in others:
+            try:
+                atoms[i] = ground_atom(atoms[i])
+            except (TermTypeError, NonGroundError, RebindError) as exc:
+                raise type(exc)(f"{self.where(offset)}: {exc}") from None
+        return tuple(atoms)
+
+    def where(self, offset: int) -> str:
+        """`path:line:col` of `offset`, the prefix of every located error."""
+        return "{}:{}:{}".format(self.path, *position(self.text, offset))
 
 
 def _var_tuple_names(t: Term) -> tuple[str, ...] | None:
@@ -474,7 +522,7 @@ def _var_tuple_names(t: Term) -> tuple[str, ...] | None:
 
 
 def parse_program(text: str, path: str = "<input>", check: bool = True) -> Program:
-    parser = _Parser(tokenize(text, path), path)
+    parser = _Parser(text, path)
     program = parser.parse_program()
     if check:
         diagnostics = check_program(program)
@@ -484,7 +532,7 @@ def parse_program(text: str, path: str = "<input>", check: bool = True) -> Progr
 
 
 def parse_store(text: str, path: str = "<input>") -> tuple[Atom, ...]:
-    parser = _Parser(tokenize(text, path), path)
+    parser = _Parser(text, path)
     return parser.parse_store()
 
 

@@ -16,11 +16,15 @@ from typing import Iterable, Union
 
 from .terms import (
     Bind,
+    Bool,
     Guard,
+    Inf,
+    Int,
     MSet,
     MSetUnion,
     Rel,
     Substitution,
+    Sym,
     Term,
     TupleTerm,
     Var,
@@ -332,8 +336,23 @@ def normalize_program(p: Program) -> Program:
 # Ground atoms and stores
 
 
+_LITERALS = frozenset((Int, Inf, Bool, Sym))
+
+
+def is_literal_atom(a: Atom) -> bool:
+    """Is every argument of `a` an integer, `infty`, boolean or symbol
+    literal? Such an atom is ground and normal as it stands."""
+    for t in a.args:
+        if type(t) not in _LITERALS:
+            return False
+    return True
+
+
 def ground_atom(a: Atom) -> Atom:
-    """Normalized copy; raises NonGroundError on free variables."""
+    """`a` normalized: `a` itself when it is a literal atom, else a
+    normalized copy; raises NonGroundError on free variables."""
+    if is_literal_atom(a):
+        return a
     return Atom(a.pred, tuple(normalize(t) for t in a.args))
 
 

@@ -10,10 +10,11 @@ which covers the generated and bundled test inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 
-from chrcp.errors import NonGroundError, RebindError, TermTypeError
+from chrcp.errors import NonGroundError, ParseError, RebindError, TermTypeError
 from chrcp.machine import InitGoal, LabeledStore, LazyGoal
 from chrcp.rules import Atom, Comprehension, Program, Rule, canonical_store
 from chrcp.terms import (
@@ -33,6 +34,48 @@ from chrcp.terms import (
 
 class OracleFail(Exception):
     pass
+
+
+# Reference lexer: one regex match per token or skipped chunk, with the line
+# and column carried along the text, chunk by chunk.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>%[^\n]*)
+      | (?P<int>\d+)
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<sym>[a-z][A-Za-z0-9_]*)
+      | (?P<punct><=>|==>|!=|<=|>=|\\|@|\||\#|\{|\}|\(|\)|\[|\]|,|\.|=|<|>|\+|-|\*)
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_KEYWORDS = {"in", "true", "false", "infty", "reduce"}
+
+
+def reference_tokenize(text: str, path: str = "<input>") -> list[tuple[str, str, int, int]]:
+    """Reference for `parse.tokenize`: (kind, text, line, column) of every
+    token, ending in `eof`; `ParseError` at a character that starts none."""
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col, path)
+        kind = m.lastgroup or ""
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            if kind == "sym" and chunk in _REFERENCE_KEYWORDS:
+                tokens.append(("keyword", chunk, line, col))
+            else:
+                tokens.append((kind, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 def labeled(items) -> LabeledStore:

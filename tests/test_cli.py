@@ -11,7 +11,7 @@ import chrcp
 from chrcp import cli
 from chrcp.bundled import PROGRAMS, STORES, corpus_path
 from chrcp.cli import main
-from chrcp.errors import ChrcpError
+from chrcp.errors import ChrcpError, NonGroundError, TermTypeError
 from chrcp.machine import annotate, run_operational
 from chrcp.match import maximality_disabled
 from chrcp.parse import load_program, load_store, parse_program, parse_store, pretty_store
@@ -243,6 +243,24 @@ class TestRun:
         assert code == 1
         assert "+ expects two integers, got 1, a" in err
         assert "Int(" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("p(1 + a).", TermTypeError, "+ expects two integers, got 1, a"),
+            ("p([1 | 2]).", TermTypeError, "multiset union of non-multisets: [1 | 2]"),
+            ("p(X).", NonGroundError, "store constraint p(X) is not ground"),
+        ],
+    )
+    def test_bad_store_term_names_its_position(self, capsys, tmp_path, line, error, message):
+        s = tmp_path / "bad.store"
+        s.write_text("q(1),\n" + line + "\n")
+        code, _, err = run_cli(capsys, "run", prog("relabel"), "--store", str(s))
+        assert code == 1
+        assert f"{s}:2:1: {message}" in err and "Traceback" not in err
+        with pytest.raises(error) as info:
+            load_store(s)
+        assert str(info.value) == f"{s}:2:1: {message}"
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         missing = tmp_path / "nope.chrcp"

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -184,6 +185,31 @@ def random_searches():
                     full = enumerate_matches(rule, store, anchor, maximal=not relaxed)
                     searches.append(((seed, rule.name, anchor, relaxed), rule, store, anchor, relaxed, full))
     return searches
+
+
+class TestNoGarbage:
+    @pytest.mark.parametrize(
+        "rule_text, store_text, options",
+        [
+            ("r @ a(X), b(X, Y) <=> c(Y).", "a(1), b(1, 2), b(1, 3).", {}),
+            ("r @ a(X), b(X, Y) <=> c(Y).", "a(1), b(1, 2), b(1, 3).", {"limit": 1}),
+            ("r @ a(X), b(X, Y) ==> c(Y).", "a(1), b(1, 2), b(1, 3).", {"exclude": {("never",)}}),
+            ("r @ go, {a(X)}#{X in Xs} <=> l(Xs).", "go, a(1), a(2).", {}),
+        ],
+    )
+    def test_search_leaves_no_cycle(self, rule_text, store_text, options):
+        """A search frees what it built as it returns, with no reference
+        cycle left for the collector."""
+        (rule,) = parse_program(rule_text).rules
+        store = labeled(enumerate(parse_store(store_text), 1))
+        assert enumerate_matches(rule, store, **options)
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_matches(rule, store, **options)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLimit:

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +12,10 @@ from chrcp.parse import (
     MAX_NESTING,
     parse_program,
     parse_store,
+    position,
     pretty_program,
     pretty_store,
+    tokenize,
 )
 from chrcp.rules import Atom, Comprehension
 from chrcp.terms import (
@@ -29,6 +34,8 @@ from chrcp.terms import (
     norm_loose,
     term_key,
 )
+
+from oracles import reference_tokenize
 
 
 class TestParseProgram:
@@ -156,6 +163,29 @@ class TestParseStore:
         with pytest.raises(NonGroundError):
             parse_store("data(X, 1).")
 
+    def test_literal_store_is_not_grounded_again(self, monkeypatch):
+        """A store of literal atoms, the 401 of a `pivot_swap` store with 200
+        data per agent, is ground and normal as parsed: no term of it is
+        searched for variables or normalized."""
+        rng = random.Random(0)
+        data = [f"data({a}, {rng.randrange(1000)})" for a in "ab" for _ in range(200)]
+        text = ", ".join(data + ["swap(a, b, 500)"]) + "."
+        expected = parse_store(text)
+
+        def refuse(*args):
+            raise AssertionError("a literal atom was grounded again")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("chrcp")]:
+            for name in ("normalize", "term_vars"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert parse_store(text) == expected and len(expected) == 401
+        with pytest.raises(AssertionError, match="grounded again"):
+            parse_store("p(1 + 2).")  # the spies are live
+        monkeypatch.undo()
+        assert parse_store("p(1+2).") == (Atom("p", (Int(3),)),)
+        assert parse_store("p([3, 1]).") == (Atom("p", (MSet((Int(1), Int(3))),)),)
+
 
 class TestRoundTrip:
     def test_corpus_round_trips(self):
@@ -220,3 +250,54 @@ class TestParserProperty:
         at %= len(text) + 1
         tail = text[at + 1 :] if op != "insert" else text[at:]
         parses_or_raises_chrcp_error(text[:at] + ("" if op == "delete" else char) + tail)
+
+
+def lexed(text: str):
+    """(kind, text, line, column) of every token of `tokenize`, or its
+    `ParseError` as (message, line, column)."""
+    try:
+        return [(t.kind, t.text, *position(text, t.offset)) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def reference_lexed(text: str):
+    try:
+        return reference_tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+class TestLexerAgainstReference:
+    """The one-pass lexer gives every token, with the line and column it
+    computes from the token's offset, or the error, that the reference
+    lexer gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet=GRAMMAR_CHARS, max_size=60)
+        | st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=30).map("".join)
+        | st.text(max_size=30)
+    )
+    def test_random_text(self, text):
+        assert lexed(text) == reference_lexed(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(CORPUS_TEXTS),
+        st.integers(min_value=0),
+        st.sampled_from(("delete", "insert", "replace")),
+        st.sampled_from(GRAMMAR_CHARS + "$\t\u00a0\u0661"),
+    )
+    def test_corpus_mutations(self, text, at, op, char):
+        at %= len(text) + 1
+        tail = text[at + 1 :] if op != "insert" else text[at:]
+        text = text[:at] + ("" if op == "delete" else char) + tail
+        assert lexed(text) == reference_lexed(text)
+
+    @pytest.mark.parametrize(
+        "name, kind", [(name, kind) for names, kind in ((PROGRAMS, "program"), (STORES, "store")) for name in names]
+    )
+    def test_corpus_file(self, name, kind):
+        text = corpus_path(name, kind).read_text()
+        assert lexed(text) == reference_lexed(text)
