@@ -13,15 +13,16 @@ saturation terminates.
 
 A step costs what it changes. The goal stack (`GoalStack`) is a persistent
 linked stack: a step pops one node and pushes a few onto the tail it
-shares, and each node keeps the digest texts of the top four goals from
-it down. The store (`match.LabeledStore`) is persistent by rerooting: the
+shares. The store (`match.LabeledStore`) is persistent by rerooting: the
 newest version owns the one index the head-match search reads, and a
 step edits it for the k labels it adds or removes; an older version keeps
 only the edit back to its successor. `validate_state` checks the pushed
-goals and the fresh labels, and `state_digest` joins two kept texts. A
-head of another predicate or arity than the active constraint's costs no
-search, and neither does a rule with an atom head whose predicate has no
-constraint stored: that partner is missing, so the rule cannot fire.
+goals and the fresh labels, and `state_digest` is a view of the state's
+stack node and store version (`StateDigest`), rendered only when read, so
+a run's trace holds what each step changed and no text. A head of another
+predicate or arity than the active constraint's costs no search, and
+neither does a rule with an atom head whose predicate has no constraint
+stored: that partner is missing, so the rule cannot fire.
 """
 
 from __future__ import annotations
@@ -148,18 +149,13 @@ class GoalStack:
     The stack reads like the tuple of its goals, top first: `len`, `[i]`,
     `[:k]` (a tuple), `[k:]` (the shared tail itself), iteration, `==`
     against a tuple or a stack, and `tuple + stack` (the tuple's goals
-    pushed, its first on top). Each node keeps the digest texts of the top
-    four goals from it down, its own goal's and three of the node below,
-    so a state digest renders no goal."""
+    pushed, its first on top)."""
 
-    __slots__ = ("top", "rest", "_len", "_heads")
+    __slots__ = ("top", "rest", "_len")
 
     def __init__(self, top: Goal | None, rest: GoalStack | None) -> None:
         self.top, self.rest = top, rest
-        if rest is None:
-            self._len, self._heads = 0, ()
-        else:
-            self._len, self._heads = rest._len + 1, (top.digest,) + rest._heads[:3]  # type: ignore[union-attr]
+        self._len = 0 if rest is None else rest._len + 1
 
     def push(self, goal: Goal) -> GoalStack:
         return GoalStack(goal, self)
@@ -227,7 +223,7 @@ class GoalStack:
     @property
     def digest(self) -> str:
         """The top four goals' text in a state digest."""
-        return ";".join(self._heads) + ("..." if self._len > 4 else "")
+        return ";".join(g.digest for g in self[:4]) + ("..." if self._len > 4 else "")
 
 
 EMPTY = GoalStack(None, None)
@@ -408,19 +404,46 @@ class StepEvent:
     after: ExecutionState
 
 
+class StateDigest:
+    """A state's digest as a view: the state's goal-stack node and store
+    version, both persistent, so making one costs O(1) and holds no text.
+    `str()` renders `<[top four goals] | {pred#label,...}>`: the goals'
+    texts (`GoalStack.digest`), then the store's tokens in label order
+    (`LabeledStore.digest`, which re-roots the store there). `==` and
+    `hash` go by that text, and a digest equals its text as a `str`.
+    Nothing is cached: a rendered digest keeps no O(store) text alive."""
+
+    __slots__ = ("goals", "store")
+
+    def __init__(self, goals: GoalStack, store: LabeledStore) -> None:
+        self.goals, self.store = goals, store
+
+    def __str__(self) -> str:
+        return f"<[{self.goals.digest}] | {{{self.store.digest}}}>"
+
+    def __repr__(self) -> str:
+        return f"StateDigest({str(self)!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (StateDigest, str)):
+            return str(self) == str(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+
 @dataclass
 class OpRun:
     state: ExecutionState
-    trace: list[tuple[str, str]]  # (kind, state digest)
+    trace: list[tuple[str, StateDigest]]  # (kind, digest of the state after the step)
     truncated: str | None  # the limit that stopped the run, e.g. "step budget 40"
 
 
-def state_digest(s: ExecutionState) -> str:
-    """The top four goals and the store's tokens. Both texts are kept where
-    they change: the goals' by each stack node (`GoalStack.digest`), the
-    store's by its newest version (`LabeledStore.digest`), so a digest
-    joins two strings."""
-    return f"<[{s.goals.digest}] | {{{s.store.digest}}}>"
+def state_digest(s: ExecutionState) -> StateDigest:
+    """The digest of `s`: a view of its goal stack and store, rendered by
+    `str()` (`StateDigest`)."""
+    return StateDigest(s.goals, s.store)
 
 
 def run_operational(
@@ -440,7 +463,7 @@ def run_operational(
     when None); `truncated` then names the limit it hit.
     """
     state = initial_state(init)
-    trace: list[tuple[str, str]] = []
+    trace: list[tuple[str, StateDigest]] = []
     with recursion_guard():
         for index in range(max_steps):
             out = step(pw, state)

@@ -167,14 +167,12 @@ class LabeledStore:
 
     Labels are never reused, even after deletion: `next_label` is the next
     one `add` gives. `digest` is the store's text in a state digest: each
-    entry's token `pred#label`, in label order, rendered on first use. A
-    derived version's text is its parent's, grown by concatenation or
-    spliced on removal, and the parent then gives its own up: a garbage
-    cycle that holds an old version holds every newer one through the edit
-    links, so only the newest version keeps its text, and an older one
-    renders it again if asked."""
+    entry's token `pred#label`, in label order, rendered from `items()`
+    each time it is read. No version keeps a text, so a run that keeps
+    every version (a trace of `machine.StateDigest`s) holds only their
+    edits."""
 
-    __slots__ = ("next_label", "_digest", "_len", "_index", "_link")
+    __slots__ = ("next_label", "_len", "_index", "_link")
 
     def __init__(self, entries: Iterable[StoreItem] = (), next_label: int = 1) -> None:
         """The store holding `entries`, (label, atom) pairs whose labels rise
@@ -185,10 +183,10 @@ class LabeledStore:
             if n >= next_label or (last is not None and n <= last):
                 raise ChrcpError(f"store label {n} is repeated, out of order or not below next label {next_label}")
             last = n
-        self._derive(_StoreIndex(items), next_label, len(items), None)
+        self._derive(_StoreIndex(items), next_label, len(items))
 
-    def _derive(self, index: _StoreIndex, next_label: int, length: int, digest: str | None) -> "LabeledStore":
-        self._index, self.next_label, self._len, self._digest, self._link = index, next_label, length, digest, None
+    def _derive(self, index: _StoreIndex, next_label: int, length: int) -> "LabeledStore":
+        self._index, self.next_label, self._len, self._link = index, next_label, length, None
         return self
 
     def _root(self) -> _StoreIndex:
@@ -228,9 +226,7 @@ class LabeledStore:
 
     @property
     def digest(self) -> str:
-        if self._digest is None:
-            self._digest = ",".join(f"{a.pred}#{n}" for n, a in self.items())
-        return self._digest
+        return ",".join(f"{a.pred}#{n}" for n, a in self.items())
 
     def __len__(self) -> int:
         return self._len
@@ -267,13 +263,9 @@ class LabeledStore:
         index = self._root()
         for item in new:
             index.edit(item, True)
-        text = self._digest
-        if text is not None:
-            tokens = ",".join(f"{a.pred}#{n}" for n, a in new)
-            text = f"{text},{tokens}" if text else tokens
         stop = self.next_label + len(new)
-        store = object.__new__(LabeledStore)._derive(index, stop, self._len + len(new), text)
-        self._link, self._digest = (store, new, ()), None
+        store = object.__new__(LabeledStore)._derive(index, stop, self._len + len(new))
+        self._link = (store, new, ())
         return store, list(range(self.next_label, stop))
 
     def remove(self, labels: Iterable[int]) -> "LabeledStore":
@@ -283,11 +275,10 @@ class LabeledStore:
         gone = tuple((n, by_label[n]) for n in sorted({n for n in labels if n in by_label}))
         if not gone:
             return self
-        text = None if self._digest is None else _spliced(self._digest, gone)
         for item in gone:
             index.edit(item, False)
-        store = object.__new__(LabeledStore)._derive(index, self.next_label, self._len - len(gone), text)
-        self._link, self._digest = (store, (), gone), None
+        store = object.__new__(LabeledStore)._derive(index, self.next_label, self._len - len(gone))
+        self._link = (store, (), gone)
         return store
 
     def delta(self, other: "LabeledStore") -> tuple[tuple[StoreItem, ...], tuple[StoreItem, ...]]:
@@ -306,22 +297,6 @@ class LabeledStore:
         theirs = dict(other.items())
         removed = tuple((n, a) for n, a in mine.items() if theirs.get(n) != a)
         return removed, tuple((n, a) for n, a in theirs.items() if mine.get(n) != a)
-
-
-def _spliced(digest: str, gone: Iterable[StoreItem]) -> str:
-    """`digest` without the tokens of the held entries `gone`, given in
-    label order. A label is held once and `#` precedes only labels, so
-    `#n,` ends label n's token in `digest + ","`, and the tokens rise in
-    label order: one pass finds them all."""
-    text = digest + ","
-    parts, at = [], 0
-    for n, atom in gone:
-        mark = f"#{n},"
-        end = text.index(mark, at) + len(mark)
-        parts.append(text[at : end - len(mark) - len(atom.pred)])
-        at = end
-    parts.append(text[at:])
-    return "".join(parts)[:-1]
 
 
 # False while `maximality_disabled` is active. Only the goal-stack machine

@@ -476,7 +476,8 @@ class _Parser:
     def parse_store(self) -> tuple[Atom, ...]:
         """The store's atoms, ground and normal. A literal atom is so as
         parsed; the others are checked and normalized after the whole text
-        has parsed, and an error there names the atom's position."""
+        has parsed, one at a time in text order, and the first that fails
+        names its position in the error."""
         atoms: list[Atom] = []
         others: list[tuple[int, int]] = []  # (index, offset) of each atom not literal
         if self.peek().kind != "eof" and not self.at("."):
@@ -492,10 +493,9 @@ class _Parser:
         if self.peek().kind != "eof":
             self.fail("trailing input after store")
         for i, offset in others:
-            if atoms[i].free_vars():
-                raise NonGroundError(f"{self.where(offset)}: store constraint {pretty_pattern(atoms[i])} is not ground")
-        for i, offset in others:
             try:
+                if atoms[i].free_vars():
+                    raise NonGroundError(f"store constraint {pretty_pattern(atoms[i])} is not ground")
                 atoms[i] = ground_atom(atoms[i])
             except (TermTypeError, NonGroundError, RebindError) as exc:
                 raise type(exc)(f"{self.where(offset)}: {exc}") from None

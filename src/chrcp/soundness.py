@@ -39,6 +39,7 @@ from .machine import (
     InitGoal,
     LazyGoal,
     OccurrenceProgram,
+    StateDigest,
     StepEvent,
     annotate,
     run_operational,
@@ -99,22 +100,6 @@ def _change(before: ExecutionState, after: ExecutionState, top: int) -> tuple[li
     out += [a for _, a in removed]
     put += [a for _, a in added]
     return out, put
-
-
-def _balanced(out: list[Atom], put: list[Atom]) -> bool:
-    return out == put or Counter(out) == Counter(put)
-
-
-def unchanged_erasure(before: ExecutionState, after: ExecutionState) -> bool:
-    """Whether `correspondence(before) == correspondence(after)`, read off
-    what the step changed. When the rest of the stack is shared, both
-    erasures hold its pending atoms, so they are equal iff the step's `out`
-    and `put` balance (`_change`). A step that changed a goal below the top
-    is erased whole, so nothing is assumed of it."""
-    top = _pushed(before, after)
-    if top is None:
-        return correspondence(before) == correspondence(after)
-    return _balanced(*_change(before, after, top))
 
 
 SILENT = "silent"
@@ -212,7 +197,7 @@ def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: Executio
         out, put = list(ca), list(cb)
     else:
         out, put = _change(before, after, top)
-        if _balanced(out, put):
+        if out == put or Counter(out) == Counter(put):
             return StepClass(SILENT)
     first = after.goals.top  # None on the empty stack
     if isinstance(first, InitGoal) and first.cause is not None:
@@ -235,7 +220,7 @@ def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: Executio
 @dataclass
 class SoundnessReport:
     classifications: list[tuple[int, str, StepClass]] = field(default_factory=list)
-    goal_digests: list[str] = field(default_factory=list)
+    goal_digests: list[StateDigest] = field(default_factory=list)  # the run's, step by step
     final_store: Store = ()
     truncated: str | None = None  # the limit that stopped the run, e.g. "store cap 64"
     steps: int = 0
@@ -291,15 +276,16 @@ def trace_record(
     kind: str,
     *,
     rule: str | None = None,
-    digest: str | None = None,
+    digest: StateDigest | None = None,
     cls: StepClass | None = None,
 ) -> dict:
     """One JSON-ready record of `docs/trace-format.md`. `rule` names the
-    declarative engine's step; `cls` is the classification of a checked step."""
+    declarative engine's step; `digest`, the machine state's, is rendered
+    here; `cls` is the classification of a checked step."""
     rec: dict = {"index": index, "kind": kind}
     if rule is not None:
         rec["rule"] = rule
-    rec.update(goalDigest=digest, storeBefore=None, storeAfter=None, classification=None)
+    rec.update(goalDigest=None if digest is None else str(digest), storeBefore=None, storeAfter=None, classification=None)
     if cls is not None:
         if cls.before is not None:
             rec["storeBefore"] = pretty_store(cls.before)

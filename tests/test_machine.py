@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -741,3 +742,60 @@ class TestWorkBounds:
         run = run_operational(annotate(pivot_program), parse_store(pivot_store_text(200)))
         assert run.truncated is None
         assert len(calls) <= 2
+
+
+class TestDigestView:
+    """A state digest is a view of the state's stack node and store version:
+    a run renders none, keeps memory linear in its steps, and any digest of
+    it renders its state's text whenever, and in whatever order, it is read."""
+
+    def test_run_renders_no_digest(self, pivot_program, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a digest was rendered during the run")
+
+        for cls in (machine.GoalStack, LabeledStore):
+            monkeypatch.setattr(cls, "digest", property(refuse))
+        run = run_operational(annotate(pivot_program), parse_store(pivot_store_text(50)))
+        assert run.truncated is None and len(run.trace) > 100
+        with pytest.raises(AssertionError, match="rendered during the run"):
+            str(run.trace[-1][1])  # the spies are live
+
+    def test_trace_memory_is_linear(self, pivot_program):
+        """1,600 data per agent, 17,584 steps: a trace that kept each
+        state's whole-store text peaked at about 530 MB."""
+        store = parse_store(pivot_store_text(1600))
+        pw = annotate(pivot_program)
+        tracemalloc.start()
+        try:
+            run = run_operational(pw, store, max_steps=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (run.truncated, len(run.trace)) == (None, 17584)
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_digests_render_in_any_order(self, remove_min_program, remove_min_store):
+        """Rendering a run's digests newest first, then oldest first, re-roots
+        the store back and forth; both give the texts read while the run
+        made them, and the final store reads as it did."""
+        seen = []
+        run = run_operational(
+            annotate(remove_min_program),
+            remove_min_store,
+            observer=lambda ev: seen.append(str(state_digest(ev.after))),
+        )
+        final = list(run.state.store.items())
+        digests = [d for _, d in run.trace]
+        assert len(digests) > 10
+        backwards = [str(d) for d in reversed(digests)][::-1]
+        assert backwards == [str(d) for d in digests] == seen
+        assert run.state.store.items() == final
+
+    def test_digest_is_its_text(self, pivot_program, pivot_store):
+        run = run_operational(annotate(pivot_program), pivot_store)
+        kind, digest = run.trace[0]
+        text = str(digest)
+        assert kind == "init" and text.startswith("<[") and text.endswith("}>")
+        assert digest == text and text == digest and hash(digest) == hash(text)
+        assert digest == state_digest(run_operational(annotate(pivot_program), pivot_store, max_steps=1).state)
+        assert digest != run.trace[1][1] and digest != 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chrcp.bundled import PROGRAMS, STORES, corpus_path
-from chrcp.errors import ChrcpError, NonGroundError, ParseError, ScopeError
+from chrcp.errors import ChrcpError, NonGroundError, ParseError, ScopeError, TermTypeError
 from chrcp.fuzz import generate_random
 from chrcp.parse import (
     MAX_NESTING,
@@ -162,6 +162,20 @@ class TestParseStore:
     def test_non_ground_rejected(self):
         with pytest.raises(NonGroundError):
             parse_store("data(X, 1).")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("p(1 + a), q(X).", TermTypeError, "<input>:1:1: + expects two integers, got 1, a"),
+            ("q(X), p(1 + a).", NonGroundError, "<input>:1:1: store constraint q(X) is not ground"),
+        ],
+    )
+    def test_first_bad_atom_in_text_order(self, text, error, message):
+        """Each atom that is not literal is checked once, in text order: the
+        first one that fails is reported, whatever kind its error is."""
+        with pytest.raises(error) as info:
+            parse_store(text)
+        assert str(info.value) == message
 
     def test_literal_store_is_not_grounded_again(self, monkeypatch):
         """A store of literal atoms, the 401 of a `pivot_swap` store with 200

@@ -32,7 +32,6 @@ from chrcp.soundness import (
     classify_step,
     correspondence,
     trace_records,
-    unchanged_erasure,
 )
 from chrcp.terms import Int, MSet, Substitution
 
@@ -322,15 +321,19 @@ class TestFuzzSlice:
 
             run_operational(pw, init, max_steps=120, observer=cross_check, max_store=64)
 
-    def test_unchanged_erasure_equals_whole_erasure_equality(self):
+    def test_silent_iff_whole_erasure_unchanged(self):
+        """A step judged by its change is silent exactly when the two whole
+        erasures are equal."""
         for seed in range(80):
             program, init = generate_random(seed)
+            pw = annotate(program)
 
             def cross_check(ev):
                 whole = correspondence(ev.before) == correspondence(ev.after)
-                assert unchanged_erasure(ev.before, ev.after) == whole, f"seed {seed}, step {ev.index}"
+                silent = classify_step(pw, ev.before, ev.after).kind == SILENT
+                assert silent == whole, f"seed {seed}, step {ev.index}"
 
-            run_operational(annotate(program), init, max_steps=120, observer=cross_check, max_store=64)
+            run_operational(pw, init, max_steps=120, observer=cross_check, max_store=64)
 
     def test_clean_seeds_need_no_search(self, monkeypatch):
         def no_search(*args, **kwargs):
