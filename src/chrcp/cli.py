@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from collections import Counter
+from typing import Iterable
 
 from .errors import ChrcpError
 from .fuzz import STORE_CAP, generate_random
@@ -66,10 +67,18 @@ def _note_truncated(limit: str) -> None:
     print(_bad(f"truncated: {limit} reached before the run finished"), file=sys.stderr)
 
 
-def _write_trace(path: str, records: list[dict]) -> None:
+def _write_trace(path: str, records: Iterable[dict]) -> None:
+    """Write `records` as `json.dump(list(records), fh, indent=2)` would,
+    byte for byte, one record as soon as it is rendered, so no list of
+    them is ever held. A record's own newlines are indented one level:
+    JSON text holds a newline only between tokens."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2)
+            sep = "[\n  "
+            for rec in records:
+                fh.write(sep + json.dumps(rec, indent=2).replace("\n", "\n  "))
+                sep = ",\n  "
+            fh.write("[]" if sep == "[\n  " else "\n]")
     except OSError as exc:
         raise ChrcpError(f"{path}: cannot write trace: {exc.strerror}") from None
 
@@ -105,7 +114,7 @@ def cmd_run(args) -> int:
         final = correspondence(run.state)
         records = (trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace))
     if args.trace:  # `records` is a generator: without --trace none is built
-        _write_trace(args.trace, list(records))
+        _write_trace(args.trace, records)
     print(pretty_store(final))
     if run.truncated:
         _note_truncated(run.truncated)

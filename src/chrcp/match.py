@@ -1,31 +1,26 @@
 """Matching of rule heads against constraint stores.
 
-Three judgments drive everything:
+A comprehension pattern is asked two questions, each answered by one
+function:
 
-* matches_exactly  — a closed pattern multiset consumes a store fragment
-  completely (each comprehension block is dictated by its ground domain);
-* subsumes         — a ground constraint fits a comprehension's atom and
-  guard under some binder instantiation (domain contents ignored);
-* residual_non_match — no store constraint is subsumed by any comprehension
-  in a pattern multiset; this is what makes matched comprehensions maximal.
+* comp_instances — which atoms its domain denotes under an environment,
+  one per element (None where the element's guard fails): a block must be
+  exactly these (`matches_exactly`), and a body unfolds to them
+  (`rewrite.unfold_body`);
+* _fit           — whether a given atom fits it: the atom's arguments bind
+  the pattern's, then its guard is solved, strictly or leniently. This
+  decides the search's absorption and its maximality test, and
+  `subsumes`, through which `residual_non_match` tests maximality for the
+  referee (`soundness`), which judges substituted heads.
 
 `enumerate_matches` is the search procedure: it solves for a substitution
-pattern by pattern (atoms first, the anchored one ahead of its partners, by
-predicate-indexed backtracking, then comprehension absorption with
-branching on contested constraints). A comprehension head whose guard pins
-an argument position to values the atom heads fixed reads its candidates
-from the store's (predicate, argument position) index instead of walking
-its predicate's bucket; each candidate goes through the head's filter,
-planned once per normalized rule (`rules.CompFilter`). Every match it
-keeps has its comprehension blocks validated by `matches_exactly`, which
-reads the same filter under the match's substitution, and,
-where a constraint was deliberately left out, its maximality by
-`residual_non_match`; an atom head's block is its own match by
-construction. Asked for the `limit` least matches, it searches least-first
-by branch and bound and cuts every branch that cannot beat them, before
-validation. Instances to `exclude` are
-skipped as soon as their key is known: for a rule of atom heads only, when
-the last atom head takes its candidate, before anything is solved.
+pattern by pattern (atom heads first by predicate- or argument-indexed
+backtracking, then comprehension absorption with branching on contested
+constraints). Every match it keeps has its comprehension blocks validated
+by `matches_exactly` and, where a constraint was deliberately left out,
+its maximality tested by `_fit`, both under the match's substitution
+through each head's filter, planned once per normalized rule
+(`rules.CompFilter`): nothing is substituted into a head.
 
 The store searched, `LabeledStore`, is persistent by rerooting: the
 versions derived from one store share one mutable index (label -> atom,
@@ -44,7 +39,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ChrcpError, NonGroundError, RebindError, TermTypeError
 from .rules import Atom, CompFilter, Comprehension, Conjunct, Pattern, Rule, normalize_rule, plan_conjuncts
@@ -67,7 +62,6 @@ from .terms import (
     guard_vars,
     is_ground,
     norm_loose,
-    normalize,
     pretty_term,
     rel_holds,
     subst_term,
@@ -321,40 +315,30 @@ def maximality_disabled():
 # Declarative judgments
 
 
-def comp_element_instance(c: Comprehension, plan: tuple[Conjunct, ...], element: Term) -> Atom | None:
-    """Atom produced by one domain element, or None if its guard fails.
-
-    The guard may determine auxiliary variables (normalized atom arguments),
-    so satisfaction is checked by solving rather than plain evaluation.
-    `plan` is the guard, planned once for every element (`plan_conjuncts`).
-    """
-    env = bind_binders(c.binders, element)
-    solved = _solve_guard(plan, env, c.local_vars)
-    if solved is None:
-        return None
-    try:
-        return Atom(c.atom.pred, tuple(eval_term(a, solved) for a in c.atom.args))
-    except NonGroundError:
-        return None
-
-
-def comp_instances(c: Comprehension) -> list[Atom] | None:
-    """Required constraint multiset of a closed comprehension.
-
-    Returns None when some domain element fails the guard: matching demands
-    every element be used.
-    """
-    dom = normalize(c.domain)
+def comp_instances(c: Comprehension, plan: tuple[Conjunct, ...], env: Mapping[str, Term]) -> Iterator[Atom | None]:
+    """Per element of the value of `c`'s domain under `env`, in canonical
+    order, the atom it makes, or None when its guard fails or leaves an
+    argument open. The element binds the binders over `env` (a binder
+    shadows a variable of `env` of its name), then `plan`, the guard
+    planned (`plan_conjuncts`, or a normalized head's `CompFilter`), is
+    solved strictly for `c`'s own variables. A Bind in `plan` on a variable
+    `env` binds raises `RebindError`."""
+    dom = eval_term(c.domain, env)
     if not isinstance(dom, MSet):
         raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
-    out: list[Atom] = []
-    plan = plan_conjuncts(c.guard)
+    pred, args, local = c.atom.pred, c.atom.args, c.local_vars
     for el in dom.items:
-        inst = comp_element_instance(c, plan, el)
-        if inst is None:
-            return None
-        out.append(inst)
-    return out
+        solved, _ = _solve_guard(plan, {**env, **bind_binders(c.binders, el)}, local)
+        if solved is None:
+            yield None
+            continue
+        try:
+            # A variable's value is normal already: values come from
+            # domains, store atoms and evaluated terms.
+            inst = Atom(pred, tuple([solved[a.name] if isinstance(a, Var) else eval_term(a, solved) for a in args]))
+        except (KeyError, NonGroundError):  # an argument the guard left open
+            inst = None
+        yield inst
 
 
 def matches_exactly(
@@ -363,70 +347,37 @@ def matches_exactly(
     env: Mapping[str, Term] | None = None,
     filters: Sequence[CompFilter | None] = (),
 ) -> bool:
-    """Closed patterns consume the given store fragment exactly.
-
-    With `env`, the patterns are heads of a normalized rule and `env`, a
-    match's substitution, closes them: the judgment is that of the patterns
-    substituted by `env`, but nothing is substituted into them. Each
-    comprehension is judged by its filter `filters[i]` (`rules.CompFilter`,
-    planned once per rule; `_planned_instances`)."""
+    """Closed patterns consume the given store fragment exactly: each atom
+    its instance, each comprehension the atoms of `comp_instances`, every
+    element making one. Without `env` each comprehension's guard is planned
+    here. With `env` the patterns are heads of a normalized rule, closed by
+    `env`, a match's substitution, and judged as if substituted by it, with
+    nothing substituted into them: each comprehension by its filter
+    `filters[i]` (`rules.CompFilter`, planned once per rule)."""
     need: list[Atom] = []
     for i, p in enumerate(patterns):
         if isinstance(p, Atom):
-            args = p.args if env is None else tuple(subst_term(env, a) for a in p.args)
-            need.append(Atom(p.pred, tuple(normalize(a) for a in args)))
+            need.append(Atom(p.pred, tuple(eval_term(a, env) for a in p.args)))
             continue
-        inst = comp_instances(p) if env is None else _planned_instances(p, filters[i], env)  # type: ignore[arg-type]
-        if inst is None:
-            return False
-        need.extend(inst)
+        plan = plan_conjuncts(p.guard) if env is None else filters[i].conjuncts  # type: ignore[union-attr]
+        for inst in comp_instances(p, plan, env or {}):
+            if inst is None:
+                return False
+            need.append(inst)
     return Counter(need) == Counter(store)
 
 
-def _planned_instances(c: Comprehension, f: CompFilter, env: Mapping[str, Term]) -> list[Atom] | None:
-    """`comp_instances` of `c`, a comprehension head of a normalized rule with
-    filter `f`, substituted by `env`. Each element of the domain's value
-    binds the binders over `env` (a binder shadows a rule variable of its
-    name, as `Comprehension.substituted` leaves it unsubstituted), the
-    filter's conjuncts are solved strictly for the comprehension's own
-    variables, and the atom's arguments are read off the variables `f.args`
-    (`normalize_rule` makes each argument one). A Bind left in the filter
-    (`rules.classify_binds` turns those on known variables into tests)
-    raises `RebindError` on a variable `env` binds."""
-    dom = _ground(c.domain, env)
-    if not isinstance(dom, MSet):
-        raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
-    pred, local = c.atom.pred, c.local_vars
-    out: list[Atom] = []
-    for el in dom.items:
-        solved = _solve_guard(f.conjuncts, {**env, **bind_binders(c.binders, el)}, local)
-        if solved is None:
-            return None
-        try:
-            out.append(Atom(pred, tuple([solved[a] for a in f.args])))
-        except KeyError:  # an argument the guard left open
-            return None
-    return out
-
-
 def subsumes(a: Atom, m: Comprehension, plan: tuple[Conjunct, ...] | None = None) -> Substitution | None:
-    """Binder instantiation under which `a` fits the comprehension, if any.
-    `plan` is the comprehension's guard planned (`plan_conjuncts`), when
-    the caller has it."""
-    env = _match_atom(m.atom, a, {}, solvable=m.local_vars)
-    if env is None:
-        return None
-    env = _solve_guard(plan_conjuncts(m.guard) if plan is None else plan, env, solvable=m.local_vars)
-    if env is None:
-        return None
-    missing = [b for b in m.binders if b not in env]
-    if missing:
-        return None
-    return Substitution({b: env[b] for b in m.binders})
+    """Binder instantiation under which `a` fits the comprehension, if any
+    (`_fit`, strict; the domain's contents ignored). `plan` is its guard
+    planned (`plan_conjuncts`), when the caller has it."""
+    fit = _fit(m, plan_conjuncts(m.guard) if plan is None else plan, a, {}, m.local_vars)
+    return None if fit is None else Substitution(zip(m.binders, fit[1]))
 
 
 def residual_non_match(patterns: Iterable[Pattern], store: Iterable[Atom]) -> bool:
-    """True iff no store constraint is subsumed by any comprehension pattern."""
+    """True iff no store constraint is subsumed by any comprehension pattern:
+    the referee's maximality test of closed (substituted) patterns."""
     comps = [(p, plan_conjuncts(p.guard)) for p in patterns if isinstance(p, Comprehension)]
     if not comps:
         return True
@@ -435,6 +386,28 @@ def residual_non_match(patterns: Iterable[Pattern], store: Iterable[Atom]) -> bo
             if subsumes(a, m, plan) is not None:
                 return False
     return True
+
+
+def _fit(
+    c: Comprehension, plan: tuple[Conjunct, ...], atom: Atom, env: dict[str, Term], solvable: frozenset[str],
+    lenient: bool = False,
+) -> tuple[dict[str, Term], tuple[Term, ...], int] | None:
+    """Does `atom` fit the comprehension `c` under `env`? The atom's
+    arguments bind or test `c.atom`'s (`_match_atom`), then `plan`, `c`'s
+    guard planned, is solved for the names in `solvable` (`_solve_guard`),
+    strictly or leniently. Returns (the solved environment, the binders'
+    values, the count of conjuncts left deferred), or None when the atom
+    does not fit or a binder is left open."""
+    solved = _match_atom(c.atom, atom, env, solvable)
+    if solved is None:
+        return None
+    solved, deferred = _solve_guard(plan, solved, solvable, lenient=lenient)
+    if solved is None:
+        return None
+    try:
+        return solved, tuple([solved[b] for b in c.binders]), deferred
+    except KeyError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +503,29 @@ def _solve_mset(pattern: Term, value: Term, env: dict[str, Term], solvable: froz
 
 
 def _match_atom(pattern: Atom, value: Atom, env: dict[str, Term], solvable: frozenset[str]) -> dict[str, Term] | None:
+    """`env` extended so `pattern` equals the ground `value`, or None. A
+    bare-variable argument is bound or compared by name; only a structured
+    one is solved (`_solve_eq`). `env` itself is never changed: the first
+    binding copies it."""
     if pattern.pred != value.pred or pattern.arity != value.arity:
         return None
+    out = env
     for pt, vt in zip(pattern.args, value.args):
-        nxt = _solve_eq(pt, vt, env, solvable)
-        if nxt is None:
+        if not isinstance(pt, Var):
+            nxt = _solve_eq(pt, vt, out, solvable)
+            if nxt is None:
+                return None
+            out = nxt
+        elif pt.name in out:
+            if out[pt.name] != vt:
+                return None
+        elif pt.name not in solvable:
             return None
-        env = nxt
-    return env
+        else:
+            if out is env:
+                out = dict(env)
+            out[pt.name] = vt
+    return out
 
 
 _DEFER = object()
@@ -597,15 +585,13 @@ def _try_conjunct(cj: Conjunct, env: dict[str, Term], solvable: frozenset[str]):
     raise TypeError(f"not a guard conjunct: {c!r}")
 
 
-def _solve_guard_ex(
+def _solve_guard(
     plan: tuple[Conjunct, ...], env: dict[str, Term], solvable: frozenset[str], *, lenient: bool = False
 ) -> tuple[dict[str, Term] | None, int]:
-    """Worklist solver over a planned guard's conjuncts; returns (env,
-    deferred count).
-
-    Strict mode: every conjunct must eventually hold; anything left pending
-    fails. Lenient mode: pending conjuncts are dropped (caller re-validates).
-    """
+    """Worklist solver over a planned guard's conjuncts: (env, the count of
+    conjuncts left deferred), env None when one fails. Strict: every
+    conjunct must eventually hold, and one left pending fails. Lenient:
+    pending conjuncts are dropped (the caller re-validates)."""
     pending = plan
     while pending:
         progress = False
@@ -619,17 +605,9 @@ def _solve_guard_ex(
             else:
                 return None, 0
         if not progress:
-            if lenient:
-                return env, len(deferred)
-            return (env, 0) if not deferred else (None, len(deferred))
+            return (env if lenient or not deferred else None), len(deferred)
         pending = deferred
     return env, 0
-
-
-def _solve_guard(
-    plan: tuple[Conjunct, ...], env: dict[str, Term], solvable: frozenset[str], *, lenient: bool = False
-) -> dict[str, Term] | None:
-    return _solve_guard_ex(plan, env, solvable, lenient=lenient)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +666,8 @@ def enumerate_matches(
     must land in that pattern's block. An anchored atom head is matched
     first, with the anchored item as its one candidate, so its bindings are
     known before any partner is tried. The other atom heads take their
-    candidates from their predicates' buckets in label order. Once the atom
+    candidates in label order from the argument index where one of their
+    arguments is bound, else from their predicates' buckets. Once the atom
     heads are matched, each comprehension takes its candidates from its
     predicate's bucket, or, when its guard pins an argument position to
     values the substitution already fixes (`_pin`: `Vi = t` with t ground,
@@ -770,36 +749,34 @@ def enumerate_matches(
                     return
             else:
                 env[comp.domain.name] = dval
-        solved = _solve_guard(guard_plan, env, solvable)
+        solved, _ = _solve_guard(guard_plan, env, solvable)
         if solved is None:
             return
         bound = {k: v for k, v in solved.items() if k in solvable}
-        theta = Substitution(bound)
-        res = MatchResult(theta, blocks)
+        res = MatchResult(Substitution(bound), blocks)
         if comp_idx and exclude and res.instance_key(head_vars) in exclude:
             return
         # Declarative validation of every comprehension block, then
-        # maximality. An atom head needs none: its arguments are variables
-        # (`normalize_rule`) that `_match_atom` bound to, or checked
-        # against, the matched atom's own arguments. A block is judged
-        # under `bound` by its head's planned filter.
+        # maximality, both under `bound` through each head's filter. An atom
+        # head needs neither: its arguments are variables (`normalize_rule`)
+        # that `_match_atom` bound to, or checked against, the matched
+        # atom's own. Items every comprehension rejected at assign time stay
+        # rejected (failures are stable as the substitution grows), so only
+        # deliberate stays need the maximality test: no head fits one, its
+        # filter solved strictly for its own variables (`subsumes` of the
+        # substituted head).
         for ci in comp_idx:
             try:
                 if not matches_exactly([heads[ci]], [atoms_by_id[i] for i in blocks[ci]], bound, (filters[ci],)):
                     return
             except (TermTypeError, NonGroundError, RebindError):
                 return
-        if maximal and risky_stays:
-            # Items rejected by every comprehension at assign time stay
-            # rejected (failures are stable as the substitution grows), so
-            # only deliberate stay choices need the residual test, the one
-            # place the heads are substituted.
-            try:
-                matched_comps = [theta.apply(heads[ci]) for ci in comp_idx]
-            except (TermTypeError, NonGroundError):
-                return
-            if not residual_non_match(matched_comps, [atoms_by_id[i] for i in risky_stays]):
-                return
+        if maximal:
+            for i in risky_stays:
+                for ci in comp_idx:
+                    comp = heads[ci]  # type: ignore[assignment]
+                    if _fit(comp, filters[ci].conjuncts, atoms_by_id[i], bound, comp.local_vars) is not None:  # type: ignore[union-attr]
+                        return
         results.append(res)
         if limit is not None:
             results.sort(key=lambda m: m.blocks)
@@ -916,8 +893,7 @@ def enumerate_matches(
             env2 = _match_atom(pat, atom, env, solvable)
             if env2 is None:
                 continue
-            lenv = _solve_guard(guard_plan, env2, solvable, lenient=True)
-            if lenv is None:
+            if _solve_guard(guard_plan, env2, solvable, lenient=True)[0] is None:
                 continue
             match_atoms(pending[1:], env2, chosen2)
 
@@ -988,28 +964,17 @@ def _pin(f: CompFilter, env: dict[str, Term], solvable: frozenset[str]) -> tuple
 def _absorb_lenient(
     comp: Comprehension, f: CompFilter, atom: Atom, env: dict[str, Term], solvable: frozenset[str]
 ) -> tuple[dict[str, Term], Term, bool] | None:
-    """Can `atom`, of the comprehension's predicate, plausibly join its block
-    under env? `f` is the comprehension's filter and `solvable` holds the
-    rule's variables and the comprehension's own.
-
-    Returns (env with rule-variable extensions, collected binder tuple,
-    clean) or None. `clean` means the absorption neither extended the
-    substitution nor left guard conjuncts deferred, i.e. it holds under any
-    extension of env. Deferred conjuncts are allowed — the final validation
-    rechecks every block declaratively.
-    """
-    if atom.arity != len(f.args):
+    """Can `atom` plausibly join the comprehension's block under env? `f` is
+    its filter, and `solvable` holds the rule's variables and its own
+    (`_fit`, lenient: the final validation rechecks every block). Returns
+    (env with rule-variable extensions, collected binder tuple, clean) or
+    None. `clean`: the absorption neither extended the substitution nor
+    left conjuncts deferred, so it holds under any extension of env."""
+    fit = _fit(comp, f.conjuncts, atom, env, solvable, lenient=True)
+    if fit is None:
         return None
-    env2 = dict(env)
-    env2.update(zip(f.args, atom.args))  # the arguments are distinct fresh variables
-    env2, n_deferred = _solve_guard_ex(f.conjuncts, env2, solvable, lenient=True)
-    if env2 is None:
-        return None
-    vals = [env2.get(b) for b in comp.binders]
-    if any(v is None for v in vals):
-        return None  # uncollectable binder: no way to place it in the domain
-    btuple: Term = vals[0] if len(vals) == 1 else TupleTerm(tuple(vals))  # type: ignore[arg-type]
-    for name in comp.binders + comp.aux:
-        env2.pop(name, None)
-    clean = n_deferred == 0 and env2.keys() == env.keys()
-    return env2, btuple, clean
+    solved, values, deferred = fit
+    local = comp.local_vars
+    env2 = {k: v for k, v in solved.items() if k not in local}
+    btuple: Term = values[0] if len(values) == 1 else TupleTerm(values)
+    return env2, btuple, deferred == 0 and env2.keys() == env.keys()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NonGroundError, recursion_guard
-from .match import LabeledStore, MatchResult, comp_element_instance, enumerate_matches
+from .match import LabeledStore, MatchResult, comp_instances, enumerate_matches
 from .rules import (
     Atom,
     Pattern,
@@ -42,23 +42,20 @@ def store_of(atoms: Iterable[Atom]) -> Store:
 def unfold_body(patterns: Iterable[Pattern]) -> list[Atom]:
     """Ground constraints denoted by a closed body.
 
-    Atoms pass through; a comprehension emits one instance per domain
-    element whose guard holds, silently skipping failing elements. Order is
+    Atoms pass through; a comprehension emits the atoms `comp_instances`
+    gives, silently skipping the elements whose guard fails. Order is
     deterministic: pattern order, then canonical domain order.
     """
     out: list[Atom] = []
     for p in patterns:
         if isinstance(p, Atom):
             out.append(ground_atom(p))
+        # A multiset term's value is a multiset, so only another domain is
+        # evaluated here, ahead of `comp_instances`, to name the error.
+        elif isinstance(p.domain, MSet) or isinstance(normalize(p.domain), MSet):
+            out.extend(a for a in comp_instances(p, plan_conjuncts(p.guard), {}) if a is not None)
         else:
-            dom = normalize(p.domain)
-            if not isinstance(dom, MSet):
-                raise NonGroundError(f"body comprehension domain {pretty_term(p.domain)} is not a multiset")
-            plan = plan_conjuncts(p.guard)
-            for el in dom.items:
-                inst = comp_element_instance(p, plan, el)
-                if inst is not None:
-                    out.append(ground_atom(inst))
+            raise NonGroundError(f"body comprehension domain {pretty_term(p.domain)} is not a multiset")
     return out
 
 

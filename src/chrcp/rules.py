@@ -304,6 +304,14 @@ def normalize_rule(r: Rule) -> Rule:
         return Atom(a.pred, tuple(args))
 
     def norm_comp(c: Comprehension) -> Comprehension:
+        # A binder is local: one named like a rule variable is renamed
+        # apart, so that an environment holding the one never reads it for
+        # the other.
+        ren = {b: Var(fresh()) for b in c.binders if b in r.rule_vars()}
+        if ren:
+            atom = Atom(c.atom.pred, tuple(subst_term(ren, a) for a in c.atom.args))
+            binders = tuple(ren[b].name if b in ren else b for b in c.binders)
+            c = Comprehension(atom, subst_guard(ren, c.guard), binders, c.domain, c.aux)
         # The parser reads `X = t` with a bare X as a Bind, and classifies
         # only the rule guard's. A Bind left binds a variable of its own.
         own = classify_binds(c.guard, r.rule_vars() | c.local_vars)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BudgetError, NonGroundError, RebindError, TermTypeError
 from .machine import (
@@ -297,8 +297,8 @@ def trace_record(
     return rec
 
 
-def trace_records(report: SoundnessReport) -> list[dict]:
-    """JSON-ready per-step records of a check.
+def trace_records(report: SoundnessReport) -> Iterator[dict]:
+    """JSON-ready per-step records of a check, yielded one at a time.
 
     A firing confirmed by its certificate carries no stores, so its
     `storeBefore` and `storeAfter` are replayed: the erasure starts as the
@@ -308,7 +308,6 @@ def trace_records(report: SoundnessReport) -> list[dict]:
     to its `after`. So the records are those of stores kept per step."""
     erasure = Counter(unfold_body(report.init))
     shown: str | None = None  # `erasure` rendered, while it is unchanged
-    records = []
     for (index, kind, cls), digest in zip(report.classifications, report.goal_digests):
         rec = trace_record(index, kind, digest=digest, cls=cls)
         if cls.after is not None:
@@ -318,5 +317,4 @@ def trace_records(report: SoundnessReport) -> list[dict]:
             erasure.subtract(cls.step.consumed)
             erasure.update(cls.step.produced)
             rec["storeAfter"] = shown = pretty_store(canonical_store(erasure.elements()))
-        records.append(rec)
-    return records
+        yield rec

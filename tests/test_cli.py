@@ -220,6 +220,32 @@ class TestRun:
         code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
         assert code == 0 and out.strip().endswith("OK")
 
+    @pytest.mark.parametrize("engine", ["op", "abs"])
+    def test_binder_named_like_a_rule_variable_is_its_own(self, capsys, tmp_path, engine, monkeypatch):
+        # The binder X of `{q(X)}#{X in Xs}` is not p's X: the block takes
+        # both q's, and the body's X is p's.
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        f = tmp_path / "shadow.chrcp"
+        s = tmp_path / "s.store"
+        s.write_text("p(1), q(1), q(2).\n")
+        for body, final in (("s(X, Xs)", "s(1, [1, 2])."), ("s(Xs)", "s([1, 2]).")):
+            f.write_text(f"r @ p(X), {{q(X)}}#{{X in Xs}} <=> {body}.\n")
+            code, out, _ = run_cli(capsys, "run", str(f), "--store", str(s), "--engine", engine)
+            assert (code, out.strip()) == (0, final), body
+            code, out, _ = run_cli(capsys, "check", str(f), "--store", str(s))
+            assert code == 0 and out.strip().endswith("OK"), body
+            assert pretty_store(check_soundness(load_program(f), load_store(s)).final_store) == final
+
+    @pytest.mark.parametrize("command", [["run"], ["run", "--engine", "abs"], ["check"]])
+    def test_body_domain_not_a_multiset_exit_one(self, capsys, tmp_path, command):
+        f = tmp_path / "dom.chrcp"
+        f.write_text("r @ p(X) <=> {q(Y)}#{Y in X}.\n")
+        s = tmp_path / "s.store"
+        s.write_text("p(1).\n")
+        code, _, err = run_cli(capsys, *command, str(f), "--store", str(s))
+        assert code == 1
+        assert "body comprehension domain 1 is not a multiset" in err and "Traceback" not in err
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         f = tmp_path / "bad.chrcp"
         f.write_text("r @ p(X \\ q(X)\n")
@@ -383,6 +409,38 @@ class TestCheckTracePins:
         trace = tmp_path / "trace.json"
         cli._write_trace(str(trace), trace_records(report))
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == CONTROL_TRACE_PIN
+
+
+class TestTraceStreaming:
+    """`_write_trace` writes each record as it is rendered, and its bytes are
+    those of `json.dump(records, fh, indent=2)`."""
+
+    @pytest.mark.parametrize(
+        "records",
+        [[], [{}], [{"index": 0, "nested": [1, {"k": []}, "a\nb"]}, {"index": 1, "kind": None}]],
+        ids=["empty", "one-empty", "nested"],
+    )
+    def test_bytes_are_json_dump(self, tmp_path, records):
+        trace = tmp_path / "t.json"
+        cli._write_trace(str(trace), iter(records))
+        assert trace.read_text() == json.dumps(records, indent=2)
+
+    @pytest.mark.parametrize("engine", ["op", "abs"])
+    def test_run_trace(self, capsys, tmp_path, engine):
+        f, s, trace = tmp_path / "p.chrcp", tmp_path / "s.store", tmp_path / "t.json"
+        f.write_text("r @ p(X) <=> q(X).\n")
+        s.write_text("p(1), p(2), p(3).\n")
+        args = ["run", str(f), "--store", str(s), "--engine", engine, "--trace", str(trace)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = json.loads(trace.read_text())
+        assert len(records) > 1 and trace.read_text() == json.dumps(records, indent=2)
+
+    def test_check_trace(self, capsys, tmp_path):
+        trace = tmp_path / "t.json"
+        args = ["check", prog("relabel"), "--store", store("relabel2"), "--trace", str(trace)]
+        assert run_cli(capsys, *args)[0] == 0
+        records = list(trace_records(check_soundness(chrcp.corpus_program("relabel"), chrcp.corpus_store("relabel2"))))
+        assert len(records) > 1 and trace.read_text() == json.dumps(records, indent=2)
 
 
 class TestFuzz:

@@ -347,6 +347,12 @@ class TestOracleEquivalence:
             ("r @ a(Y), {b(X) | X = Y}#{X in Xs} <=> c(Xs).", "a(1), b(1), b(2)."),
             # a binding of a fresh variable holds per element
             ("r @ go, {b(X) | Z = X + 1, Z > 2}#{X in Xs} <=> c(Xs).", "go, b(1), b(2), b(3)."),
+            # a binder named like a rule variable is the comprehension's
+            # own: it neither reads nor erases p's X
+            ("r @ p(X), {q(X)}#{X in Xs} <=> s(X, Xs).", "p(1), q(1), q(2)."),
+            ("r @ p(X), {q(X, D) | D >= X}#{X, D in Xs} <=> s(Xs).", "p(1), q(1, 0), q(1, 1), q(2, 3), q(0, 1)."),
+            ("r @ p(X), {q(Y, X) | Y = X}#{X, Y in Xs} <=> s(Xs).", "p(1), q(1, 1), q(2, 2), q(1, 2)."),
+            ("r @ p(X) \\ {q(X)}#{X in Xs} <=> X > 0 | s(X, Xs).", "p(1), q(1), q(2)."),
         ]
         for ptext, stext in cases:
             (rule,) = parse_program(ptext, check=False).rules
@@ -474,6 +480,28 @@ class TestPlannedValidation:
         for program, init in runs:
             run_operational(annotate(program), init, max_steps=80)
         assert verdicts.count(True) >= 100 and False in verdicts
+
+    @pytest.mark.parametrize(
+        "ptext, stext",
+        [
+            ("r @ t(N) \\ {p(D) | D >= W}#{D in Ds} <=> W = N + 1 | q(Ds).", "t(1), p(1), p(2), p(3)."),
+            (
+                "r @ t(N), {p(X) | X < W}#{X in Xs}, {p(Y) | Y > W}#{Y in Ys} <=> W = N + 1 | true.",
+                "t(1), p(1), p(2), p(3).",
+            ),
+        ],
+    )
+    def test_search_substitutes_into_no_head(self, monkeypatch, ptext, stext):
+        """Only the rule guard makes these comprehension guards readable, so
+        the search may leave an item out of a block and must then test the
+        match's maximality. It tests it on the unsubstituted heads, as it
+        validates their blocks."""
+        calls = []
+        real = Comprehension.substituted
+        monkeypatch.setattr(Comprehension, "substituted", lambda self, theta: calls.append(1) or real(self, theta))
+        (rule,) = parse_program(ptext, check=False).rules
+        assert enumerate_matches(rule, labeled(enumerate(parse_store(stext))))
+        assert calls == []
 
     def test_bind_on_a_bound_variable_raises(self):
         # A Bind left in a filter on a variable the substitution binds (the

@@ -254,7 +254,7 @@ class TestCheckSoundness:
 
     def test_trace_records_shape(self, relabel_program):
         rep = check_soundness(relabel_program, corpus_store("relabel2"))
-        recs = trace_records(rep)
+        recs = list(trace_records(rep))
         assert len(recs) == rep.steps
         assert all({"index", "kind", "classification"} <= set(r) for r in recs)
         fired = [r for r in recs if r["classification"] == ABSTRACT]
