@@ -103,7 +103,6 @@ from .terms import (
     mset,
     normalize,
     reduce_eval,
-    substitute,
     tup,
 )
 

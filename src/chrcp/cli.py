@@ -36,7 +36,7 @@ from .monotone import predicate_report, residual_non_unifiable
 from .parse import load_program, load_store, pretty_pattern, pretty_store
 from .rewrite import MAX_STEPS, run_abstract
 from .rules import Atom, Comprehension, Rule
-from .soundness import check_soundness, correspondence, trace_record, trace_records
+from .soundness import check_soundness, trace_record, trace_records
 
 
 def _use_color(stream) -> bool:
@@ -111,7 +111,7 @@ def cmd_run(args) -> int:
     else:
         pw = annotate(program)
         run = run_operational(pw, store, max_steps=args.max_steps)
-        final = correspondence(run.state)
+        final = run.final
         records = (trace_record(i, kind, digest=digest) for i, (kind, digest) in enumerate(run.trace))
     if args.trace:  # `records` is a generator: without --trace none is built
         _write_trace(args.trace, records)

@@ -11,6 +11,12 @@ the comprehension heads that any other pattern gets its own verdict
 against. Propagation rules track per-goal histories of applied instances so
 saturation terminates.
 
+A firing pushes its rule's body as it stands, with the match's
+substitution (`InitGoal`), and the init step reads it under that
+substitution (`rewrite.unfold_body`): an atom is stored lazily or eagerly
+by its instance's verdict, a comprehension by its own verdict under the
+substitution (`OccurrenceProgram.monotone_under`).
+
 A step costs what it changes. The goal stack (`GoalStack`) is a persistent
 linked stack: a step pops one node and pushes a few onto the tail it
 shares. The store (`match.LabeledStore`) is persistent by rerooting: the
@@ -28,14 +34,15 @@ stored: that partner is missing, so the rule cannot fire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import match
 from .errors import ChrcpError, recursion_guard
 from .match import LabeledStore, MatchResult, enumerate_matches
 from .monotone import Absorber, absorbers, argument_blind, predicate_report, verdict
-from .rewrite import MAX_STEPS, unfold_body
+from .rewrite import MAX_STEPS, Store, unfold_body
 from .rules import Atom, Pattern, Program, Rule, normalize_program
+from .terms import Substitution, Term
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +62,23 @@ class OccurrenceProgram:
         return self.table.get(i)
 
     def monotone(self, pattern: Pattern) -> bool:
-        """A pattern of a monotone predicate is monotone, and an atom of an
-        absorbed predicate is not. Any other pattern, a comprehension
-        pattern with its own guard among them, gets its own verdict against
-        the program's comprehension heads."""
+        """Whether a closed pattern, such as a ground atom, is monotone
+        (`monotone_under` with no substitution)."""
+        return self.monotone_under(pattern, {})
+
+    def monotone_under(self, pattern: Pattern, env: Mapping[str, Term]) -> bool:
+        """Whether `pattern` read under `env` is monotone. A pattern of a
+        monotone predicate is, and an atom of an absorbed predicate is not.
+        Any other pattern, a comprehension pattern with its own guard among
+        them, gets its own verdict against the program's comprehension
+        heads."""
         atom = pattern if isinstance(pattern, Atom) else pattern.atom
         key = (atom.pred, atom.arity)
         if key in self.monotone_preds:
             return True
         if isinstance(pattern, Atom) and key in self.absorbed_preds:
             return False
-        return verdict(self.absorbers, pattern).monotone
+        return verdict(self.absorbers, pattern, env).monotone
 
 
 def annotate(program: Program) -> OccurrenceProgram:
@@ -86,7 +99,12 @@ def annotate(program: Program) -> OccurrenceProgram:
 
 @dataclass(frozen=True)
 class InitGoal:
+    """Body patterns still to be added, read under `theta`: a firing pushes
+    its rule's body as it is, with the match's substitution
+    (`rewrite.unfold_body`)."""
+
     body: tuple[Pattern, ...]
+    theta: Substitution = Substitution()
     # (normalized rule, MatchResult) of the firing that pushed this goal: the
     # certificate the soundness checker confirms. Not part of goal identity.
     cause: tuple | None = field(default=None, compare=False)
@@ -304,11 +322,18 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
     goal, rest, store = goals.top, goals.rest, state.store
 
     if isinstance(goal, InitGoal):
-        lazy_pats, eager_pats = [], []
+        # An atom gets its instance's verdict; a comprehension, its verdict
+        # under the substitution.
+        env = goal.theta.mapping()
+        lazy_atoms: list[Atom] = []
+        eager_atoms: list[Atom] = []
+        instances = iter(unfold_body([p for p in goal.body if isinstance(p, Atom)], env))
         for p in goal.body:
-            (lazy_pats if pw.monotone(p) else eager_pats).append(p)
-        lazy_atoms = unfold_body(lazy_pats)
-        eager_atoms = unfold_body(eager_pats)
+            if isinstance(p, Atom):
+                a = next(instances)
+                (lazy_atoms if pw.monotone(a) else eager_atoms).append(a)
+            else:
+                (lazy_atoms if pw.monotone_under(p, env) else eager_atoms).extend(unfold_body((p,), env))
         store2, labels = store.add_many(eager_atoms)
         goals = (
             tuple(LazyGoal(a) for a in lazy_atoms)
@@ -338,7 +363,7 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         n_prop = len(rule.propagated)
         if m is not None:
             store2 = store.remove(i for b in m.blocks[n_prop:] for i in b)
-            init = InitGoal(m.theta.apply(rule.body), (rule, m))
+            init = InitGoal(rule.body, m.theta, (rule, m))
             if pos >= n_prop:
                 # Active constraint sits in the simplified head: it goes too.
                 return ExecutionState(rest.push(init), store2), "act-simpa-1"
@@ -352,10 +377,9 @@ def step(pw: OccurrenceProgram, state: ExecutionState) -> tuple[ExecutionState, 
         rule, pos = hit
         m = _least_match(rule, pos, goal, store, goal.history)
         if m is not None:
-            body = m.theta.apply(rule.body)
             new_hist = goal.history | {m.instance_key(rule.head_vars())}
             goals = (
-                InitGoal(body, (rule, m)),
+                InitGoal(rule.body, m.theta, (rule, m)),
                 PropGoal(goal.atom, goal.label, goal.occurrence, new_hist),
             ) + rest
             return ExecutionState(goals, store), "prop-prop"
@@ -438,6 +462,7 @@ class OpRun:
     state: ExecutionState
     trace: list[tuple[str, StateDigest]]  # (kind, digest of the state after the step)
     truncated: str | None  # the limit that stopped the run, e.g. "step budget 40"
+    final: Store  # the store the last state denotes (`correspondence`)
 
 
 def state_digest(s: ExecutionState) -> StateDigest:
@@ -458,17 +483,19 @@ def run_operational(
 
     Each transition is checked against the state before it (`validate_state`),
     and a problem raises `ChrcpError`, as does nesting past the interpreter's
-    recursion limit. The run stops early after `max_steps`
-    steps, or once the store holds more than `max_store` constraints (no cap
-    when None); `truncated` then names the limit it hit.
+    recursion limit, in a step or in the store the run ends in (`final`).
+    The run stops early after `max_steps` steps, or once the store holds
+    more than `max_store` constraints (no cap when None); `truncated` then
+    names the limit it hit.
     """
     state = initial_state(init)
     trace: list[tuple[str, StateDigest]] = []
+    truncated = None
     with recursion_guard():
         for index in range(max_steps):
             out = step(pw, state)
             if out is None:
-                return OpRun(state, trace, None)
+                break
             nxt, kind = out
             problems = validate_state(pw, state, nxt)
             if problems:
@@ -478,5 +505,10 @@ def run_operational(
             trace.append((kind, state_digest(nxt)))
             state = nxt
             if max_store is not None and len(state.store) > max_store:
-                return OpRun(state, trace, f"store cap {max_store}")
-    return OpRun(state, trace, None if state.terminal else f"step budget {max_steps}")
+                truncated = f"store cap {max_store}"
+                break
+        else:
+            truncated = None if state.terminal else f"step budget {max_steps}"
+        from .soundness import correspondence  # the checker's erasure; it imports this module
+
+        return OpRun(state, trace, truncated, correspondence(state))

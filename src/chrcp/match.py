@@ -9,18 +9,22 @@ function:
   (`rewrite.unfold_body`);
 * _fit           — whether a given atom fits it: the atom's arguments bind
   the pattern's, then its guard is solved, strictly or leniently. This
-  decides the search's absorption and its maximality test, and
-  `subsumes`, through which `residual_non_match` tests maximality for the
-  referee (`soundness`), which judges substituted heads.
+  decides the search's absorption and, through `residual_non_match`, the
+  maximality test.
+
+Patterns are read under an environment, never instantiated: the solver
+(`_solve_guard`, `_try_conjunct`, `_solve_eq`) reads each variable's value
+from it and evaluates what it closes (`terms.eval_term`).
 
 `enumerate_matches` is the search procedure: it solves for a substitution
 pattern by pattern (atom heads first by predicate- or argument-indexed
 backtracking, then comprehension absorption with branching on contested
 constraints). Every match it keeps has its comprehension blocks validated
 by `matches_exactly` and, where a constraint was deliberately left out,
-its maximality tested by `_fit`, both under the match's substitution
-through each head's filter, planned once per normalized rule
-(`rules.CompFilter`): nothing is substituted into a head.
+its maximality tested by `residual_non_match`, both under the match's
+substitution through each head's filter, planned once per normalized rule
+(`rules.CompFilter`). The referee (`soundness`) confirms a firing through
+the same two judgments.
 
 The store searched, `LabeledStore`, is persistent by rerooting: the
 versions derived from one store share one mutable index (label -> atom,
@@ -55,16 +59,11 @@ from .terms import (
     TupleTerm,
     Var,
     _bind_into,
-    _eval_ground,
     bind_binders,
     eval_guard_env,
     eval_term,
-    guard_vars,
-    is_ground,
-    norm_loose,
     pretty_term,
     rel_holds,
-    subst_term,
     term_key,
     term_vars,
 )
@@ -315,17 +314,14 @@ def maximality_disabled():
 # Declarative judgments
 
 
-def comp_instances(c: Comprehension, plan: tuple[Conjunct, ...], env: Mapping[str, Term]) -> Iterator[Atom | None]:
-    """Per element of the value of `c`'s domain under `env`, in canonical
-    order, the atom it makes, or None when its guard fails or leaves an
-    argument open. The element binds the binders over `env` (a binder
-    shadows a variable of `env` of its name), then `plan`, the guard
+def comp_instances(c: Comprehension, plan: tuple[Conjunct, ...], env: Mapping[str, Term], dom: MSet) -> Iterator[Atom | None]:
+    """Per element of `dom`, the value of `c`'s domain under `env`, in
+    canonical order, the atom it makes, or None when its guard fails or
+    leaves an argument open. The element binds the binders over `env` (a
+    binder shadows a variable of `env` of its name), then `plan`, the guard
     planned (`plan_conjuncts`, or a normalized head's `CompFilter`), is
     solved strictly for `c`'s own variables. A Bind in `plan` on a variable
     `env` binds raises `RebindError`."""
-    dom = eval_term(c.domain, env)
-    if not isinstance(dom, MSet):
-        raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
     pred, args, local = c.atom.pred, c.atom.args, c.local_vars
     for el in dom.items:
         solved, _ = _solve_guard(plan, {**env, **bind_binders(c.binders, el)}, local)
@@ -347,20 +343,24 @@ def matches_exactly(
     env: Mapping[str, Term] | None = None,
     filters: Sequence[CompFilter | None] = (),
 ) -> bool:
-    """Closed patterns consume the given store fragment exactly: each atom
-    its instance, each comprehension the atoms of `comp_instances`, every
-    element making one. Without `env` each comprehension's guard is planned
-    here. With `env` the patterns are heads of a normalized rule, closed by
-    `env`, a match's substitution, and judged as if substituted by it, with
-    nothing substituted into them: each comprehension by its filter
-    `filters[i]` (`rules.CompFilter`, planned once per rule)."""
+    """Patterns read under `env` consume the given store fragment exactly:
+    each atom its instance, each comprehension the atoms of
+    `comp_instances`, every element making one. Without `filters` each
+    comprehension's guard is planned here. With them the patterns are the
+    heads of a normalized rule, `env` a match's substitution, and each
+    comprehension is read through its filter `filters[i]`
+    (`rules.CompFilter`, planned once per rule)."""
     need: list[Atom] = []
+    env = env or {}
     for i, p in enumerate(patterns):
         if isinstance(p, Atom):
             need.append(Atom(p.pred, tuple(eval_term(a, env) for a in p.args)))
             continue
-        plan = plan_conjuncts(p.guard) if env is None else filters[i].conjuncts  # type: ignore[union-attr]
-        for inst in comp_instances(p, plan, env or {}):
+        dom = eval_term(p.domain, env)
+        if not isinstance(dom, MSet):
+            raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
+        plan = filters[i].conjuncts if filters else plan_conjuncts(p.guard)  # type: ignore[union-attr]
+        for inst in comp_instances(p, plan, env, dom):
             if inst is None:
                 return False
             need.append(inst)
@@ -368,22 +368,34 @@ def matches_exactly(
 
 
 def subsumes(a: Atom, m: Comprehension, plan: tuple[Conjunct, ...] | None = None) -> Substitution | None:
-    """Binder instantiation under which `a` fits the comprehension, if any
-    (`_fit`, strict; the domain's contents ignored). `plan` is its guard
-    planned (`plan_conjuncts`), when the caller has it."""
+    """Binder instantiation under which `a` fits the closed comprehension,
+    if any (`_fit`, strict; the domain's contents ignored). `plan` is its
+    guard planned (`plan_conjuncts`), when the caller has it."""
     fit = _fit(m, plan_conjuncts(m.guard) if plan is None else plan, a, {}, m.local_vars)
     return None if fit is None else Substitution(zip(m.binders, fit[1]))
 
 
-def residual_non_match(patterns: Iterable[Pattern], store: Iterable[Atom]) -> bool:
-    """True iff no store constraint is subsumed by any comprehension pattern:
-    the referee's maximality test of closed (substituted) patterns."""
-    comps = [(p, plan_conjuncts(p.guard)) for p in patterns if isinstance(p, Comprehension)]
+def residual_non_match(
+    patterns: Iterable[Pattern],
+    store: Iterable[Atom],
+    env: Mapping[str, Term] | None = None,
+    filters: Sequence[CompFilter | None] = (),
+) -> bool:
+    """True iff no store constraint fits any comprehension pattern (`_fit`,
+    strict, only each pattern's own variables solved): the maximality test
+    of a match. Patterns, `env` and `filters` are read as by
+    `matches_exactly`."""
+    env = env or {}
+    comps = [
+        (p, filters[i].conjuncts if filters else plan_conjuncts(p.guard))  # type: ignore[union-attr]
+        for i, p in enumerate(patterns)
+        if isinstance(p, Comprehension)
+    ]
     if not comps:
         return True
     for a in store:
-        for m, plan in comps:
-            if subsumes(a, m, plan) is not None:
+        for c, plan in comps:
+            if _fit(c, plan, a, env, c.local_vars) is not None:  # type: ignore[arg-type]
                 return False
     return True
 
@@ -430,20 +442,14 @@ def _solvable_pattern(t: Term, env: Mapping[str, Term], solvable: frozenset[str]
 
 
 def _solve_eq(pattern: Term, value: Term, env: dict[str, Term], solvable: frozenset[str]) -> dict[str, Term] | None:
-    """Extend env so pattern equals the ground value; None on clash or on a
-    type error in instantiating the pattern."""
-    try:
-        pattern = norm_loose(subst_term(env, pattern))
-    except TermTypeError:
-        return None
-    if is_ground(pattern):
-        return env if pattern == value else None
+    """Extend env so pattern, read under env, equals the ground value; None
+    on clash, on a part of pattern that is neither structure nor closed by
+    env, or on a type error in evaluating a closed part."""
     if isinstance(pattern, Var):
-        if pattern.name not in solvable:
-            return None
-        env2 = dict(env)
-        env2[pattern.name] = value
-        return env2
+        name = pattern.name
+        if name in env:
+            return env if env[name] == value else None
+        return {**env, name: value} if name in solvable else None
     if isinstance(pattern, TupleTerm):
         if not isinstance(value, TupleTerm) or len(value.items) != len(pattern.items):
             return None
@@ -453,41 +459,48 @@ def _solve_eq(pattern: Term, value: Term, env: dict[str, Term], solvable: frozen
                 return None
             env = nxt
         return env
-    if isinstance(pattern, (MSet, MSetUnion)):
+    closed = term_vars(pattern) <= env.keys()
+    if isinstance(pattern, (MSet, MSetUnion)) and not closed:
         return _solve_mset(pattern, value, env, solvable)
-    return None
+    if not closed:
+        return None
+    try:
+        return env if eval_term(pattern, env) == value else None
+    except TermTypeError:
+        return None
 
 
 def _solve_mset(pattern: Term, value: Term, env: dict[str, Term], solvable: frozenset[str]) -> dict[str, Term] | None:
-    """Match a multiset pattern like `[D | Ds]` against a ground multiset.
+    """Match a multiset pattern like `[D | Ds]`, read under env, against a
+    ground multiset.
 
-    Ground element patterns are removed by equality; remaining variable
+    Element patterns closed by env are removed by equality; the other
     element patterns commit to the least remaining elements (canonical
     order); the rest term takes what is left.
     """
     if not isinstance(value, MSet):
         return None
-    if isinstance(pattern, MSet):
-        elems, rest = list(pattern.items), None
-    elif isinstance(pattern, MSetUnion) and isinstance(pattern.left, MSet):
-        elems, rest = list(pattern.left.items), pattern.right
-    elif isinstance(pattern, MSetUnion) and isinstance(pattern.right, MSet):
-        elems, rest = list(pattern.right.items), pattern.left
-    else:
-        return None
+    bound = env.keys()
+    sides = [(pattern, None)] if isinstance(pattern, MSet) else [(pattern.left, pattern.right), (pattern.right, pattern.left)]
     remaining = list(value.items)
     var_elems: list[Term] = []
-    for e in elems:
-        try:
-            e2 = norm_loose(subst_term(env, e))
-        except TermTypeError:
-            return None
-        if is_ground(e2):
-            if e2 not in remaining:
-                return None
-            remaining.remove(e2)
+    try:
+        for side, rest in sides:
+            if not isinstance(side, MSet) and term_vars(side) <= bound:
+                side = eval_term(side, env)  # a union side closed by env is its value
+            if isinstance(side, MSet):
+                break
         else:
-            var_elems.append(e2)
+            return None
+        for e in side.items:
+            if not term_vars(e) <= bound:
+                var_elems.append(e)
+            elif (e := eval_term(e, env)) in remaining:
+                remaining.remove(e)
+            else:
+                return None
+    except TermTypeError:
+        return None
     remaining.sort(key=term_key)
     if len(var_elems) > len(remaining):
         return None
@@ -531,55 +544,43 @@ def _match_atom(pattern: Atom, value: Atom, env: dict[str, Term], solvable: froz
 _DEFER = object()
 
 
-def _ground(t: Term, env: Mapping[str, Term]) -> Term:
-    """The value of `t`, whose variables `env` all binds."""
-    return _eval_ground(subst_term(env, t))
-
-
 def _try_conjunct(cj: Conjunct, env: dict[str, Term], solvable: frozenset[str]):
-    """Returns (status, env): status in {True, False, _DEFER}. A type error
-    in instantiating or evaluating the conjunct fails it, since it would
-    fail every instance. The plan decides the common cases from variable
-    names alone: a relation that `env` makes ground, and an equation whose
-    one open side is a bare variable, which it solves."""
+    """Returns (status, env): status in {True, False, _DEFER}. The conjunct
+    is read under env. A type error in evaluating it, or a side of it that
+    env closes, fails it, since it would fail every instance. The plan
+    decides the common cases from variable names alone: a conjunct that env
+    closes, and an equation whose one open side is a bare variable, which
+    it solves; an equation one of whose sides env closes solves the other
+    side as a pattern."""
     c = cj.guard
+    bound = env.keys()
     try:
         if isinstance(c, Rel):
-            bound = env.keys()
             if cj.vars <= bound:
-                return rel_holds(c.op, _ground(c.lhs, env), _ground(c.rhs, env)), env
+                return rel_holds(c.op, eval_term(c.lhs, env), eval_term(c.rhs, env)), env
             for name, other, other_vars in cj.solves:
                 if name not in bound and other_vars <= bound:
                     if name not in solvable:
                         return _DEFER, env
-                    return True, {**env, name: _ground(other, env)}
-            lhs = norm_loose(subst_term(env, c.lhs))
-            rhs = norm_loose(subst_term(env, c.rhs))
-            lg, rg = is_ground(lhs), is_ground(rhs)
-            if c.op == "=":
-                if lg and _solvable_pattern(rhs, env, solvable):
-                    nxt = _solve_eq(rhs, lhs, env, solvable)
+                    return True, {**env, name: eval_term(other, env)}
+            closed = [(side, eval_term(side, env)) for side in (c.lhs, c.rhs) if term_vars(side) <= bound]
+            if c.op == "=" and closed:
+                side, value = closed[0]
+                pattern = c.rhs if side is c.lhs else c.lhs
+                if _solvable_pattern(pattern, env, solvable):
+                    nxt = _solve_eq(pattern, value, env, solvable)
                     return (False, env) if nxt is None else (True, nxt)
-                if rg and _solvable_pattern(lhs, env, solvable):
-                    nxt = _solve_eq(lhs, rhs, env, solvable)
-                    return (False, env) if nxt is None else (True, nxt)
+            return _DEFER, env
+        if not cj.vars <= bound:
             return _DEFER, env
         if isinstance(c, GTrue):
             return True, env
         if isinstance(c, Bind):
-            value = norm_loose(subst_term(env, c.value))
-            if not is_ground(value):
-                return _DEFER, env
             env2 = dict(env)
-            _bind_into(env2, c.vars, value)  # a rebind raises RebindError
+            _bind_into(env2, c.vars, eval_term(c.value, env))  # a rebind raises RebindError
             return True, env2
         if isinstance(c, ConjComp):
-            dom = norm_loose(subst_term(env, c.domain))
-            body_open = guard_vars(c.body) - frozenset(c.binders) - set(env)
-            if not is_ground(dom) or body_open:
-                return _DEFER, env
-            ok, _ = eval_guard_env(c, dict(env))
-            return ok, env
+            return eval_guard_env(c, env)[0], env
     except TermTypeError:
         return False, env
     raise TypeError(f"not a guard conjunct: {c!r}")
@@ -763,20 +764,15 @@ def enumerate_matches(
         # atom's own. Items every comprehension rejected at assign time stay
         # rejected (failures are stable as the substitution grows), so only
         # deliberate stays need the maximality test: no head fits one, its
-        # filter solved strictly for its own variables (`subsumes` of the
-        # substituted head).
+        # filter solved strictly for its own variables.
         for ci in comp_idx:
             try:
                 if not matches_exactly([heads[ci]], [atoms_by_id[i] for i in blocks[ci]], bound, (filters[ci],)):
                     return
             except (TermTypeError, NonGroundError, RebindError):
                 return
-        if maximal:
-            for i in risky_stays:
-                for ci in comp_idx:
-                    comp = heads[ci]  # type: ignore[assignment]
-                    if _fit(comp, filters[ci].conjuncts, atoms_by_id[i], bound, comp.local_vars) is not None:  # type: ignore[union-attr]
-                        return
+        if maximal and risky_stays and not residual_non_match(heads, [atoms_by_id[i] for i in risky_stays], bound, filters):
+            return
         results.append(res)
         if limit is not None:
             results.sort(key=lambda m: m.blocks)
@@ -950,11 +946,11 @@ def _pin(f: CompFilter, env: dict[str, Term], solvable: frozenset[str]) -> tuple
     for pos, t, t_vars in f.pins:
         try:
             if t_vars <= bound:
-                return pos, (_ground(t, env),)
+                return pos, (eval_term(t, env),)
             if isinstance(t, Var) and t.name in f.members and t.name in solvable:
                 dom, dom_vars = f.members[t.name]
                 if dom_vars <= bound:
-                    value = _ground(dom, env)
+                    value = eval_term(dom, env)
                     return pos, tuple(dict.fromkeys(value.items)) if isinstance(value, MSet) else ()
         except TermTypeError:
             return pos, ()

@@ -22,63 +22,67 @@ those atoms need no verdict either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import ChrcpError, TermTypeError
-from .rules import Atom, Comprehension, Pattern, Program, normalize_program
+from .rules import Atom, Comprehension, Pattern, Program, classify_binds, normalize_program
 from .terms import (
-    Bind,
-    ConjComp,
-    GTrue,
+    GUARD_TRUE,
     Guard,
     Rel,
+    Term,
     Var,
     conjuncts,
+    eval_term,
     guard_vars,
-    is_ground,
-    normalize,
     rel_holds,
     subst_guard,
 )
 
 
-def _guards_possibly_sat(guards: Iterable[Guard]) -> bool:
-    """Conjunct-wise check: ground conjuncts must hold, open ones pass."""
+def _guards_possibly_sat(guards: Iterable[Guard], env: Mapping[str, Term]) -> bool:
+    """Conjunct-wise check: conjuncts that `env` closes must hold, open ones pass."""
     for g in guards:
         for c in conjuncts(g):
-            if isinstance(c, (GTrue, Bind, ConjComp)):
-                continue  # Bind always succeeds; comprehensions stay open
-            if isinstance(c, Rel) and is_ground(c.lhs) and is_ground(c.rhs):
+            if isinstance(c, Rel) and guard_vars(c) <= env.keys():
                 try:
-                    if not rel_holds(c.op, normalize(c.lhs), normalize(c.rhs)):
+                    if not rel_holds(c.op, eval_term(c.lhs, env), eval_term(c.rhs, env)):
                         return False
                 except TermTypeError:
                     return False
-    return True
+    return True  # Bind always succeeds; comprehensions stay open
 
 
-def unifiable(pattern: Pattern, head: Comprehension, rule_guard: Guard) -> bool:
-    """Over-approximate: can some instance of `pattern` be absorbed by `head`,
-    a comprehension head of a rule guarded by `rule_guard`?
+def unifiable(pattern: Pattern, head: Comprehension, rule_guard: Guard, env: Mapping[str, Term]) -> bool:
+    """Over-approximate: can some instance of `pattern`, read under `env`
+    (a firing's substitution; its own local variables shadow `env`'s), be
+    absorbed by `head`, a comprehension head of a rule guarded by
+    `rule_guard`?
 
     `head` comes from `absorbers`, so its atom's arguments are distinct
     variables and the most general unifier is `m`, head argument i to
-    pattern argument i. Only ground conjuncts are evaluated, and `m`
-    replaces head variables only, all at once: a variable name the pattern
-    shares with the rule grounds no conjunct, so nothing is renamed apart,
-    and the pattern's own guard is checked as it is. Any other head raises
+    pattern argument i. A conjunct of the head's guard or of `rule_guard`
+    with a variable besides the head's arguments stays open; the others are
+    read through `m`. Only conjuncts that `env` closes are evaluated, so a
+    variable name the pattern shares with the rule grounds no conjunct and
+    nothing is renamed apart. The pattern's own guard is read as it is, its
+    equations on a variable of `env` being tests. Any other head raises
     `ChrcpError`.
     """
     args = head.atom.args
-    if len({v.name for v in args if isinstance(v, Var)}) != len(args):
+    names = {v.name for v in args if isinstance(v, Var)}
+    if len(names) != len(args):
         raise ChrcpError(
             f"comprehension head {head.atom!r} must have distinct variable arguments, as `absorbers` gives"
         )
-    atom, guards = (pattern, []) if isinstance(pattern, Atom) else (pattern.atom, [pattern.guard])
+    atom, guard = (pattern, GUARD_TRUE) if isinstance(pattern, Atom) else (pattern.atom, pattern.guard)
     if atom.pred != head.atom.pred or atom.arity != head.atom.arity:
         return False
-    m = {v.name: t for v, t in zip(args, atom.args)}
-    return _guards_possibly_sat(guards + [subst_guard(m, head.guard), subst_guard(m, rule_guard)])
+    if isinstance(pattern, Comprehension) and env:
+        env = {k: v for k, v in env.items() if k not in pattern.local_vars}
+    m = {v.name: t for v, t in zip(args, atom.args)}  # type: ignore[attr-defined]
+    read = [subst_guard(m, c) for g in (head.guard, rule_guard) for c in conjuncts(g) if guard_vars(c) <= names]
+    return _guards_possibly_sat([classify_binds(guard, env.keys()), *read], env)
 
 
 Absorber = tuple[str, Comprehension, Guard]
@@ -123,11 +127,11 @@ class MonotonicityReport:
     verdicts: tuple[PatternVerdict, ...]
 
 
-def verdict(heads: Iterable[Absorber], pattern: Pattern) -> PatternVerdict:
-    """Monotone iff the pattern, as it is, unifies with none of the
+def verdict(heads: Iterable[Absorber], pattern: Pattern, env: Mapping[str, Term]) -> PatternVerdict:
+    """Monotone iff the pattern, read under `env`, unifies with none of the
     `absorbers` heads; otherwise the first such head is the witness."""
     for rule, head, guard in heads:
-        if unifiable(pattern, head, guard):
+        if unifiable(pattern, head, guard, env):
             return PatternVerdict(pattern, False, rule, head)
     return PatternVerdict(pattern, True)
 
@@ -135,11 +139,11 @@ def verdict(heads: Iterable[Absorber], pattern: Pattern) -> PatternVerdict:
 def residual_non_unifiable(program: Program, patterns: Iterable[Pattern]) -> MonotonicityReport:
     """Verdict per pattern: monotone iff it unifies with no comprehension head."""
     heads = absorbers(program)
-    return MonotonicityReport(tuple(verdict(heads, p) for p in patterns))
+    return MonotonicityReport(tuple(verdict(heads, p, {}) for p in patterns))
 
 
 def is_monotone(program: Program, pattern: Pattern) -> bool:
-    return verdict(absorbers(program), pattern).monotone
+    return verdict(absorbers(program), pattern, {}).monotone
 
 
 def predicate_report(program: Program) -> dict[tuple[str, int], bool]:

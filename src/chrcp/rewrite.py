@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from .errors import NonGroundError, recursion_guard
+from .errors import TermTypeError, recursion_guard
 from .match import LabeledStore, MatchResult, comp_instances, enumerate_matches
 from .rules import (
     Atom,
@@ -22,11 +22,13 @@ from .rules import (
     Program,
     Rule,
     canonical_store,
+    classify_binds,
     ground_atom,
+    is_literal_atom,
     normalize_program,
     plan_conjuncts,
 )
-from .terms import MSet, Substitution, normalize, pretty_term
+from .terms import MSet, Substitution, Term, eval_term, pretty_term
 
 Store = tuple[Atom, ...]
 
@@ -39,23 +41,27 @@ def store_of(atoms: Iterable[Atom]) -> Store:
     return canonical_store(ground_atom(a) for a in atoms)
 
 
-def unfold_body(patterns: Iterable[Pattern]) -> list[Atom]:
-    """Ground constraints denoted by a closed body.
+def unfold_body(patterns: Iterable[Pattern], env: Mapping[str, Term]) -> list[Atom]:
+    """Ground constraints denoted by body patterns read under `env`, a
+    firing's substitution.
 
-    Atoms pass through; a comprehension emits the atoms `comp_instances`
-    gives, silently skipping the elements whose guard fails. Order is
-    deterministic: pattern order, then canonical domain order.
+    An atom gives its instance; a comprehension gives the atoms
+    `comp_instances` makes from its domain's value, silently skipping the
+    elements whose guard fails. Its guard's equations on a variable bound
+    before the guard is entered (by `env` or by its binders) are tests
+    (`rules.classify_binds`). Order is deterministic: pattern order, then
+    canonical domain order.
     """
     out: list[Atom] = []
     for p in patterns:
         if isinstance(p, Atom):
-            out.append(ground_atom(p))
-        # A multiset term's value is a multiset, so only another domain is
-        # evaluated here, ahead of `comp_instances`, to name the error.
-        elif isinstance(p.domain, MSet) or isinstance(normalize(p.domain), MSet):
-            out.extend(a for a in comp_instances(p, plan_conjuncts(p.guard), {}) if a is not None)
-        else:
-            raise NonGroundError(f"body comprehension domain {pretty_term(p.domain)} is not a multiset")
+            out.append(p if is_literal_atom(p) else Atom(p.pred, tuple([eval_term(a, env) for a in p.args])))
+            continue
+        dom = eval_term(p.domain, env)
+        if not isinstance(dom, MSet):
+            raise TermTypeError(f"body comprehension domain {pretty_term(dom)} is not a multiset")
+        plan = plan_conjuncts(classify_binds(p.guard, env.keys() | set(p.binders)))
+        out.extend(a for a in comp_instances(p, plan, env, dom) if a is not None)
     return out
 
 
@@ -81,7 +87,7 @@ def rule_application(
     hashes no atom, so callers count a store once for all its matches."""
     n_prop = len(rule.propagated)
     consumed = canonical_store(atoms_by_label[i] for b in match.blocks[n_prop:] for i in b)
-    produced = canonical_store(unfold_body(match.theta.apply(rule.body)))
+    produced = canonical_store(unfold_body(rule.body, match.theta.mapping()))
     successor = store.copy()
     successor.subtract(consumed)
     successor.update(produced)

@@ -23,19 +23,16 @@ from .terms import (
     MSet,
     MSetUnion,
     Rel,
-    Substitution,
     Sym,
     Term,
     TupleTerm,
     Var,
     conj,
     conjuncts,
+    eval_term,
     guard_bind_vars,
     guard_vars,
     name_supply,
-    norm_loose,
-    normalize,
-    rename_binders,
     subst_guard,
     subst_term,
     term_key,
@@ -57,10 +54,6 @@ class Atom:
         for a in self.args:
             out |= term_vars(a)
         return out
-
-    def substituted(self, theta: Substitution) -> "Atom":
-        m = theta.mapping()
-        return Atom(self.pred, tuple(norm_loose(subst_term(m, a)) for a in self.args))
 
 
 @dataclass(frozen=True)
@@ -86,25 +79,6 @@ class Comprehension:
     def free_vars(self) -> frozenset[str]:
         inner = (self.atom.free_vars() | guard_vars(self.guard)) - self.local_vars
         return inner | term_vars(self.domain)
-
-    def substituted(self, theta: Substitution) -> "Comprehension":
-        m = {k: v for k, v in theta.mapping().items() if k not in self.local_vars}
-        dom = norm_loose(subst_term(m, self.domain))
-        atom, guard, binders, aux = self.atom, self.guard, self.binders, self.aux
-        clash: set[str] = set()
-        for v in m.values():
-            clash |= term_vars(v) & self.local_vars
-        if clash:
-            locals_ = binders + aux
-            renamed, ren = rename_binders(locals_, clash)
-            binders = renamed[: len(binders)]
-            aux = renamed[len(binders) :]
-            atom = Atom(atom.pred, tuple(subst_term(ren, a) for a in atom.args))
-            guard = subst_guard(ren, guard)
-        new_atom = Atom(atom.pred, tuple(norm_loose(subst_term(m, a)) for a in atom.args))
-        # The guard is left unevaluated: an ill-typed conjunct fails only the
-        # elements it is solved for (`match._try_conjunct`), not the caller.
-        return Comprehension(new_atom, subst_guard(m, guard), binders, dom, aux)
 
 
 Pattern = Union[Atom, Comprehension]
@@ -361,7 +335,7 @@ def ground_atom(a: Atom) -> Atom:
     normalized copy; raises NonGroundError on free variables."""
     if is_literal_atom(a):
         return a
-    return Atom(a.pred, tuple(normalize(t) for t in a.args))
+    return Atom(a.pred, tuple(eval_term(t) for t in a.args))
 
 
 def atom_key(a: Atom):

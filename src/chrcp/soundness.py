@@ -22,7 +22,10 @@ alone; only the residual maximality test reads the rest of the erasure,
 and only the atoms of the comprehension heads' (predicate, arity) pairs in
 it, since an atom of any other pair fits no comprehension head. No whole
 erasure is built or sorted unless the certificate fails or a goal below
-the top changed.
+the top changed. The certificate's heads, guard and body are read under
+the match's substitution as they stand in the rule, through the search's
+own judgments (`matches_exactly`, `residual_non_match`) and
+`terms.guard_holds` and `rewrite.unfold_body`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .match import MatchResult, matches_exactly, residual_non_match
 from .parse import pretty_store
 from .rewrite import MAX_STEPS, AbstractStep, Store, abstract_steps, unfold_body
 from .rules import Atom, Comprehension, Pattern, Program, Rule, canonical_store
-from .terms import eval_guard
+from .terms import guard_holds
 
 
 def _key(p: Pattern) -> tuple[str, int]:
@@ -57,7 +60,8 @@ def _key(p: Pattern) -> tuple[str, int]:
 
 
 def _pending(goals: Iterable[Goal], keys: frozenset | None = None) -> list[Atom]:
-    """What `goals` still hold: init-goal bodies (unfolded), lazy-goal atoms.
+    """What `goals` still hold: init-goal bodies (unfolded under their
+    substitutions), lazy-goal atoms.
     With `keys`, only the atoms of those (predicate, arity) pairs: a body
     pattern is unfolded only when its own pair is one of them."""
     atoms: list[Atom] = []
@@ -65,7 +69,7 @@ def _pending(goals: Iterable[Goal], keys: frozenset | None = None) -> list[Atom]
         if isinstance(g, InitGoal):
             body = g.body if keys is None else [p for p in g.body if _key(p) in keys]
             if body:
-                atoms.extend(unfold_body(body))
+                atoms.extend(unfold_body(body, g.theta.mapping()))
         elif isinstance(g, LazyGoal) and (keys is None or _key(g.atom) in keys):
             atoms.append(g.atom)
     return atoms
@@ -141,7 +145,10 @@ def _confirm_certificate(
     the step from `before` with change (`out`, `put`) is that step: every
     block of labels matches its head exactly under theta, the guard holds,
     the match is maximal in the erasure of `before`, and out + produced =
-    put + consumed as multisets. None when any of these fails.
+    put + consumed as multisets. None when any of these fails. Heads, guard
+    and body are all read under theta, as they stand in the rule: each
+    comprehension head through its planned filter, as the search's own
+    validation reads it.
 
     The last test is the successor test: with ca the erasure before and cb
     after, cb = ca - out + put, and the match's labels are held in ca, so
@@ -155,23 +162,21 @@ def _confirm_certificate(
     ids = [i for b in m.blocks for i in b]
     if len(set(ids)) != len(ids) or any(i not in atoms for i in ids):
         return None
-    theta = m.theta
-    heads = [theta.apply(h) for h in rule.heads]
-    for head, block in zip(heads, m.blocks):
-        if not matches_exactly([head], [atoms[i] for i in block]):
+    theta, heads, filters = m.theta.mapping(), rule.heads, rule.filters()
+    for i, block in enumerate(m.blocks):
+        if not matches_exactly(heads[i : i + 1], [atoms[n] for n in block], theta, filters[i : i + 1]):
             return None
-    # theta binds the `:=` variables too, so substituting it turns each
-    # binding into an equality check.
-    if not eval_guard(theta.apply(rule.guard)):
+    # theta binds the guard's Bind variables too, so each Bind is a test.
+    if not guard_holds(rule.guard, theta):
         return None
     comps = [h for h in heads if isinstance(h, Comprehension)]
-    if comps and not residual_non_match(comps, _unmatched(before, comps, set(ids))):
+    if comps and not residual_non_match(heads, _unmatched(before, comps, set(ids)), theta, filters):
         return None
     consumed = tuple(atoms[i] for b in m.blocks[len(rule.propagated) :] for i in b)
-    produced = tuple(unfold_body(theta.apply(rule.body)))
+    produced = tuple(unfold_body(rule.body, theta))
     if Counter([*out, *produced]) != Counter([*put, *consumed]):
         return None
-    return AbstractStep(rule.name, theta, consumed, produced)
+    return AbstractStep(rule.name, m.theta, consumed, produced)
 
 
 def classify_step(pw: OccurrenceProgram, before: ExecutionState, after: ExecutionState) -> StepClass:
@@ -265,7 +270,7 @@ def check_soundness(
 
     run = run_operational(pw, init, max_steps=max_steps, observer=observe, max_store=max_store)
     report.goal_digests = [digest for _, digest in run.trace]
-    report.final_store = correspondence(run.state)
+    report.final_store = run.final
     report.truncated = run.truncated
     report.steps = len(run.trace)
     return report
@@ -306,7 +311,7 @@ def trace_records(report: SoundnessReport) -> Iterator[dict]:
     takes out its `consumed` and adds its `produced` (that is what
     confirming it proved), and a verdict that carries its stores resets it
     to its `after`. So the records are those of stores kept per step."""
-    erasure = Counter(unfold_body(report.init))
+    erasure = Counter(unfold_body(report.init, {}))
     shown: str | None = None  # `erasure` rendered, while it is unchanged
     for (index, kind, cls), digest in zip(report.classifications, report.goal_digests):
         rec = trace_record(index, kind, digest=digest, cls=cls)

@@ -1,4 +1,4 @@
-"""Core term language: values, guards, substitutions and evaluation.
+"""Core term language: values, guards and evaluation.
 
 Terms cover integers plus an ``infty`` top element, symbols, booleans,
 tuples and multisets, together with term-level comprehensions, a fold-style
@@ -8,7 +8,14 @@ a total term order), so multiset and store equality are plain ``==``.
 
 Guards are conjunctions of relations over terms.  ``Bind`` realizes guard
 equations like ``Ws = {...}``: it introduces bindings that guards to its
-right (and the rule body) may read.
+right (and the rule body) may read.  Inside a comprehension's guard, and in
+a rule guard read under a match's substitution, an equation on a variable
+already bound is a test instead (``guard_holds``).
+
+A term gets its value one way: ``eval_term(t, env)`` walks it once, reading
+each variable from ``env``; nothing is substituted into it.  The
+substitution functions (``subst_term``, ``subst_guard``) only rename and
+unify patterns, and spell out the term an error message names.
 """
 
 from __future__ import annotations
@@ -265,10 +272,6 @@ def guard_bind_vars(g: Guard) -> tuple[str, ...]:
     return ()
 
 
-def is_ground(t: Term) -> bool:
-    return not term_vars(t)
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 
@@ -299,9 +302,6 @@ class Substitution:
 
     def key(self) -> tuple:
         return tuple((k, term_key(v)) for k, v in self._m.items())
-
-    def apply(self, obj):
-        return substitute(self, obj)
 
     def __len__(self) -> int:
         return len(self._m)
@@ -408,72 +408,8 @@ def subst_guard(m: Mapping[str, Term], g: Guard) -> Guard:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def substitute(theta: Substitution, obj):
-    """Apply a substitution to a term, guard, pattern or pattern multiset.
-
-    Terms are normalized where they became ground (per the semantics,
-    normalization happens during/right after substitution).
-    """
-    if isinstance(obj, tuple):
-        return tuple(substitute(theta, o) for o in obj)
-    m = theta.mapping() if isinstance(theta, Substitution) else dict(theta)
-    if isinstance(obj, Term):
-        return norm_loose(subst_term(m, obj))
-    if isinstance(obj, Guard):
-        return guard_loose(subst_guard(m, obj))
-    hook = getattr(obj, "substituted", None)
-    if hook is not None:
-        return hook(theta)
-    raise TypeError(f"cannot substitute into {obj!r}")
-
-
 # ---------------------------------------------------------------------------
-# Normalization and evaluation
-
-
-def normalize(t: Term) -> Term:
-    """Canonical value of a ground term."""
-    fv = term_vars(t)
-    if fv:
-        raise NonGroundError(f"free variables {', '.join(sorted(fv))} in {pretty_term(t)}")
-    return _eval_ground(t)
-
-
-def norm_loose(t: Term) -> Term:
-    """Normalize every ground subterm; leave open structure intact."""
-    if not term_vars(t):
-        return _eval_ground(t)
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, TupleTerm):
-        return TupleTerm(tuple(norm_loose(i) for i in t.items))
-    if isinstance(t, MSet):
-        return MSet(tuple(norm_loose(i) for i in t.items))
-    if isinstance(t, MSetUnion):
-        return MSetUnion(norm_loose(t.left), norm_loose(t.right))
-    if isinstance(t, TermComp):
-        return TermComp(
-            norm_loose(t.template), guard_loose(t.guard), t.binders, norm_loose(t.domain)
-        )
-    if isinstance(t, Reduce):
-        return Reduce(t.fn, norm_loose(t.unit), norm_loose(t.domain))
-    if isinstance(t, PrimApp):
-        return PrimApp(t.op, tuple(norm_loose(a) for a in t.args))
-    return t
-
-
-def guard_loose(g: Guard) -> Guard:
-    if isinstance(g, (GTrue,)):
-        return g
-    if isinstance(g, Rel):
-        return Rel(g.op, norm_loose(g.lhs), norm_loose(g.rhs))
-    if isinstance(g, Bind):
-        return Bind(g.vars, norm_loose(g.value))
-    if isinstance(g, Conj):
-        return Conj(tuple(guard_loose(it) for it in g.items))
-    if isinstance(g, ConjComp):
-        return ConjComp(g.binders, norm_loose(g.domain), guard_loose(g.body))
-    raise TypeError(f"not a guard: {g!r}")
+# Evaluation
 
 
 def bind_binders(binders: tuple[str, ...], element: Term) -> dict[str, Term]:
@@ -485,42 +421,6 @@ def bind_binders(binders: tuple[str, ...], element: Term) -> dict[str, Term]:
             f"domain element {pretty_term(element)} does not fit binders {', '.join(binders)}"
         )
     return dict(zip(binders, element.items))
-
-
-def _eval_ground(t: Term) -> Term:
-    if isinstance(t, (Int, Inf, Bool, Sym)):
-        return t
-    if isinstance(t, TupleTerm):
-        return TupleTerm(tuple(_eval_ground(i) for i in t.items))
-    if isinstance(t, MSet):
-        return MSet(tuple(sorted((_eval_ground(i) for i in t.items), key=term_key)))
-    if isinstance(t, MSetUnion):
-        left = _eval_ground(t.left)
-        right = _eval_ground(t.right)
-        if not isinstance(left, MSet) or not isinstance(right, MSet):
-            raise TermTypeError(f"multiset union of non-multisets: {pretty_term(t)}")
-        return MSet(tuple(sorted(left.items + right.items, key=term_key)))
-    if isinstance(t, TermComp):
-        dom = _eval_ground(t.domain)
-        if not isinstance(dom, MSet):
-            raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
-        out: list[Term] = []
-        for el in dom.items:
-            env = bind_binders(t.binders, el)
-            if eval_guard(t.guard, env):
-                out.append(_eval_ground(subst_term(env, t.template)))
-        return MSet(tuple(sorted(out, key=term_key)))
-    if isinstance(t, Reduce):
-        unit = _eval_ground(t.unit)
-        dom = _eval_ground(t.domain)
-        if not isinstance(dom, MSet):
-            raise TermTypeError(f"reduce domain is not a multiset: {pretty_term(dom)}")
-        return reduce_eval(t.fn, unit, dom)
-    if isinstance(t, PrimApp):
-        return apply_prim(t.op, tuple(_eval_ground(a) for a in t.args))
-    if isinstance(t, Var):
-        raise NonGroundError(f"unbound variable {t.name}")
-    raise TypeError(f"not a term: {t!r}")
 
 
 def _num(t: Term) -> float | int:
@@ -580,7 +480,70 @@ def rel_holds(op: str, lhs: Term, rhs: Term) -> bool:
 
 
 def eval_term(t: Term, env: Mapping[str, Term] | None = None) -> Term:
-    return normalize(subst_term(env or {}, t))
+    """The canonical value of `t`, its variables read from `env`: one walk,
+    no copy of `t` made. A comprehension binds its binders over `env`
+    per element. `NonGroundError` names every variable `env` leaves free
+    (the message is built only on that path); a type error raises
+    `TermTypeError`."""
+    env = env or {}
+    try:
+        return _value(t, env)
+    except (NonGroundError, TermTypeError, ValueError):  # ValueError: a union `pretty_term` cannot print
+        closed = subst_term(env, t)
+        free = term_vars(closed)
+        if free:
+            raise NonGroundError(f"free variables {', '.join(sorted(free))} in {pretty_term(closed)}") from None
+        raise
+
+
+# The canonical value of a ground term.
+normalize = eval_term
+
+
+def _value(t: Term, env: Mapping[str, Term]) -> Term:
+    cls = t.__class__
+    if cls is Var:
+        try:
+            return env[t.name]  # type: ignore[attr-defined]
+        except KeyError:
+            raise NonGroundError(f"unbound variable {t.name}") from None  # type: ignore[attr-defined]
+    if cls is Int or cls is Sym or cls is Bool or cls is Inf:
+        return t
+    if cls is TupleTerm:
+        return TupleTerm(tuple([_value(i, env) for i in t.items]))  # type: ignore[attr-defined]
+    if cls is MSet:
+        return MSet(tuple(sorted([_value(i, env) for i in t.items], key=term_key)))  # type: ignore[attr-defined]
+    if cls is MSetUnion:
+        left, right = _value(t.left, env), _value(t.right, env)  # type: ignore[attr-defined]
+        if not isinstance(left, MSet) or not isinstance(right, MSet):
+            raise TermTypeError(f"multiset union of non-multisets: {pretty_term(subst_term(env, t))}")
+        return MSet(tuple(sorted(left.items + right.items, key=term_key)))
+    if cls is TermComp:
+        return _comp_value(t, env)  # type: ignore[arg-type]
+    if cls is Reduce:
+        unit, dom = _value(t.unit, env), _value(t.domain, env)  # type: ignore[attr-defined]
+        if not isinstance(dom, MSet):
+            raise TermTypeError(f"reduce domain is not a multiset: {pretty_term(dom)}")
+        return reduce_eval(t.fn, unit, dom)  # type: ignore[attr-defined]
+    if cls is PrimApp:
+        return apply_prim(t.op, tuple([_value(a, env) for a in t.args]))  # type: ignore[attr-defined]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _comp_value(t: TermComp, env: Mapping[str, Term]) -> MSet:
+    """A term comprehension's multiset. Its template and guard must be
+    closed by `env` and its binders, even where no element reads them."""
+    if any(v not in env for v in (term_vars(t.template) | guard_vars(t.guard)) - frozenset(t.binders)):
+        raise NonGroundError("open comprehension")
+    dom = _value(t.domain, env)
+    if not isinstance(dom, MSet):
+        raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
+    out: list[Term] = []
+    for el in dom.items:
+        local = {**env, **bind_binders(t.binders, el)}
+        if guard_holds(t.guard, local):
+            out.append(_value(t.template, local))
+    return MSet(tuple(sorted(out, key=term_key)))
 
 
 def eval_guard(g: Guard, env: Mapping[str, Term] | None = None) -> bool:
@@ -589,7 +552,26 @@ def eval_guard(g: Guard, env: Mapping[str, Term] | None = None) -> bool:
     return ok
 
 
+def guard_holds(g: Guard, env: Mapping[str, Term]) -> bool:
+    """Truth of `g` under `env`, where an equation whose left side names a
+    variable `env` already binds is a test, not a binding: the guard of a
+    comprehension, read per element with its binders bound, and a rule
+    guard read under a match's substitution."""
+    for c in conjuncts(g):
+        if isinstance(c, Bind) and any(v in env for v in c.vars):
+            lhs = Var(c.vars[0]) if len(c.vars) == 1 else TupleTerm(tuple(Var(v) for v in c.vars))
+            ok = eval_term(lhs, env) == eval_term(c.value, env)
+        else:
+            ok, env = eval_guard_env(c, env)  # type: ignore[arg-type]
+        if not ok:
+            return False
+    return True
+
+
 def eval_guard_env(g: Guard, env: dict[str, Term]) -> tuple[bool, dict[str, Term]]:
+    """Truth of `g` under `env`, and `env` extended by its Binds; a Bind on
+    a variable `env` binds raises `RebindError`. A guard comprehension's
+    body is read per element by `guard_holds`."""
     if isinstance(g, GTrue):
         return True, env
     if isinstance(g, Rel):
@@ -610,10 +592,7 @@ def eval_guard_env(g: Guard, env: dict[str, Term]) -> tuple[bool, dict[str, Term
         if not isinstance(dom, MSet):
             raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
         for el in dom.items:
-            local = dict(env)
-            local.update(bind_binders(g.binders, el))
-            ok, _ = eval_guard_env(g.body, local)
-            if not ok:
+            if not guard_holds(g.body, {**env, **bind_binders(g.binders, el)}):
                 return False, env
         return True, env
     raise TypeError(f"not a guard: {g!r}")

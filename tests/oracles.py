@@ -19,16 +19,34 @@ from chrcp.machine import InitGoal, LabeledStore, LazyGoal
 from chrcp.rules import Atom, Comprehension, Program, Rule, canonical_store
 from chrcp.terms import (
     Bind,
+    Bool,
+    Conj,
+    ConjComp,
+    GTrue,
+    Inf,
+    Int,
     MSet,
+    MSetUnion,
+    PrimApp,
+    Reduce,
     Rel,
+    Sym,
+    TermComp,
     TupleTerm,
     Var,
+    apply_prim,
+    bind_binders,
     conjuncts,
     eval_guard_env,
     eval_term,
-    is_ground,
     normalize,
+    pretty_term,
+    reduce_eval,
+    rel_holds,
+    subst_guard,
+    subst_term,
     term_key,
+    term_vars,
 )
 
 
@@ -149,7 +167,7 @@ def _match_term(pattern, value, binders, local, theta):
         for p, v in zip(pattern.items, value.items):
             _match_term(p, v, binders, local, theta)
         return
-    if is_ground(pattern):
+    if not term_vars(pattern):
         if normalize(pattern) != value:
             raise OracleFail
         return
@@ -437,3 +455,99 @@ def whole_state_problems(pw, state) -> list[str]:
     if len(set(labels)) != len(labels):
         problems.append("duplicate store labels")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# The two-pass reference: substitute, then evaluate the closed result. The
+# engine evaluated terms and closed patterns this way before it read them
+# under an environment; tests keep it as the reference for that reading.
+
+
+def reference_eval(t, env):
+    """The value of `normalize(subst_term(env, t))` on the two-pass path:
+    `env` substituted into `t`, then, if no variable is left free, the
+    closed term evaluated bottom-up."""
+    closed = subst_term(dict(env), t)
+    free = term_vars(closed)
+    if free:
+        raise NonGroundError(f"free variables {', '.join(sorted(free))} in {pretty_term(closed)}")
+    return _ground_value(closed)
+
+
+def _ground_value(t):
+    if isinstance(t, (Int, Inf, Bool, Sym)):
+        return t
+    if isinstance(t, TupleTerm):
+        return TupleTerm(tuple(_ground_value(i) for i in t.items))
+    if isinstance(t, MSet):
+        return MSet(tuple(sorted((_ground_value(i) for i in t.items), key=term_key)))
+    if isinstance(t, MSetUnion):
+        left, right = _ground_value(t.left), _ground_value(t.right)
+        if not isinstance(left, MSet) or not isinstance(right, MSet):
+            raise TermTypeError(f"multiset union of non-multisets: {pretty_term(t)}")
+        return MSet(tuple(sorted(left.items + right.items, key=term_key)))
+    if isinstance(t, TermComp):
+        dom = _ground_value(t.domain)
+        if not isinstance(dom, MSet):
+            raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
+        out = []
+        for el in dom.items:
+            env = bind_binders(t.binders, el)
+            if _ground_guard(t.guard, dict(env)):
+                out.append(_ground_value(subst_term(env, t.template)))
+        return MSet(tuple(sorted(out, key=term_key)))
+    if isinstance(t, Reduce):
+        unit, dom = _ground_value(t.unit), _ground_value(t.domain)
+        if not isinstance(dom, MSet):
+            raise TermTypeError(f"reduce domain is not a multiset: {pretty_term(dom)}")
+        return reduce_eval(t.fn, unit, dom)
+    if isinstance(t, PrimApp):
+        return apply_prim(t.op, tuple(_ground_value(a) for a in t.args))
+    raise TypeError(f"not a closed term: {t!r}")
+
+
+def _ground_guard(g, env) -> bool:
+    """A guard whose only free variables `env` binds; a Bind extends `env`
+    and raises `RebindError` on a variable it binds already."""
+    if isinstance(g, GTrue):
+        return True
+    if isinstance(g, Rel):
+        return rel_holds(g.op, reference_eval(g.lhs, env), reference_eval(g.rhs, env))
+    if isinstance(g, Bind):
+        value = reference_eval(g.value, env)
+        pairs = zip(g.vars, value.items) if len(g.vars) > 1 else [(g.vars[0], value)]
+        for name, v in pairs:
+            if name in env:
+                raise RebindError(f"variable {name} is already bound")
+            env[name] = v
+        return True
+    if isinstance(g, Conj):
+        return all(_ground_guard(it, env) for it in g.items)
+    if isinstance(g, ConjComp):
+        dom = reference_eval(g.domain, env)
+        if not isinstance(dom, MSet):
+            raise TermTypeError(f"comprehension domain is not a multiset: {pretty_term(dom)}")
+        return all(_ground_guard(g.body, {**env, **bind_binders(g.binders, el)}) for el in dom.items)
+    raise TypeError(f"not a guard: {g!r}")
+
+
+def substitute(theta, obj):
+    """`obj`, a pattern, a tuple of them or a guard, with `theta` (ground
+    values) substituted in: a pattern's closed arguments and domain
+    evaluated, a comprehension's local variables left alone, and a Bind on
+    a variable of `theta` turned into an equality test. The engine judged
+    such closed copies before it judged patterns under theta."""
+    m = dict(theta)
+    if isinstance(obj, tuple):
+        return tuple(substitute(m, o) for o in obj)
+    if isinstance(obj, Atom):
+        return Atom(obj.pred, tuple(_closed(subst_term(m, a)) for a in obj.args))
+    if isinstance(obj, Comprehension):
+        m = {k: v for k, v in m.items() if k not in obj.local_vars}
+        atom = Atom(obj.atom.pred, tuple(_closed(subst_term(m, a)) for a in obj.atom.args))
+        return Comprehension(atom, subst_guard(m, obj.guard), obj.binders, _closed(subst_term(m, obj.domain)), obj.aux)
+    return subst_guard(m, obj)
+
+
+def _closed(t):
+    return reference_eval(t, {}) if not term_vars(t) else t

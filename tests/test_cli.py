@@ -381,6 +381,37 @@ class TestCheck:
         assert out.strip().endswith("OK")
 
 
+class TestComprehensionGuardEquations:
+    """Inside a comprehension guard, an equation on a variable bound before
+    the guard is entered, here the element's own binder, is a test: it
+    keeps the elements it holds for, and is never an error."""
+
+    SHAPES = {
+        "term comprehension guard": ("r @ go, {a(X)}#{X in Xs} <=> Ys = {X | X = 2}#{X in Xs} | got(Ys).", "got([2])."),
+        "body comprehension": ("r @ go, {a(X)}#{X in Xs} <=> {b(X) | X = 2}#{X in Xs}.", "b(2)."),
+        "guard comprehension": ("r @ go, {a(X)}#{X in Xs} <=> {X = 2}#{X in Xs} | done.", "a(1), a(2), a(3), go."),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("command", [["run"], ["run", "--engine", "abs"], ["check"]])
+    def test_binder_equation_is_a_test(self, capsys, tmp_path, monkeypatch, shape, command):
+        monkeypatch.setenv("CHRCP_COLOR", "0")
+        text, final = self.SHAPES[shape]
+        f = tmp_path / "r.chrcp"
+        f.write_text(text + "\n")
+        s = tmp_path / "s.store"
+        s.write_text("go, a(1), a(2), a(3).\n")
+        trace = tmp_path / "trace.json"
+        code, out, err = run_cli(capsys, *command, str(f), "--store", str(s), "--trace", str(trace))
+        assert (code, err) == (0, "")
+        if command == ["check"]:
+            assert "violations=0" in out and out.strip().endswith("OK")
+            after = [r["storeAfter"] for r in json.loads(trace.read_text()) if r["storeAfter"] is not None]
+            assert after[-1:] == ([] if final.startswith("a(1)") else [final])
+        else:
+            assert out.strip() == final
+
+
 # sha256 of the `check --trace` JSON of each corpus run, recorded before a
 # confirmed firing stopped carrying its stores: its replayed stores must
 # render the same text.

@@ -8,7 +8,6 @@ from chrcp.bundled import PROGRAMS, STORES, corpus_program, corpus_store
 from chrcp.errors import ChrcpError
 from chrcp.fuzz import MAX_VALUE, generate_random
 from chrcp.machine import annotate
-from chrcp.match import subsumes
 from chrcp.monotone import (
     absorbers,
     argument_blind,
@@ -24,12 +23,13 @@ from chrcp.terms import (
     GUARD_TRUE,
     Int,
     Rel,
-    Substitution,
     Var,
     conj,
     eval_guard,
     guard_vars,
 )
+
+from oracles import _subsumed, substitute
 
 
 def comp(pred, *args, guard=GUARD_TRUE, binders=("Y",), domain="Ys"):
@@ -38,22 +38,22 @@ def comp(pred, *args, guard=GUARD_TRUE, binders=("Y",), domain="Ys"):
 
 class TestUnifiability:
     def test_predicate_mismatch(self):
-        assert not unifiable(Atom("b", (Var("X"),)), comp("a", Var("Y")), GUARD_TRUE)
+        assert not unifiable(Atom("b", (Var("X"),)), comp("a", Var("Y")), GUARD_TRUE, {})
 
     def test_open_pattern_unifies(self):
-        assert unifiable(Atom("a", (Var("X"),)), comp("a", Var("Y")), GUARD_TRUE)
+        assert unifiable(Atom("a", (Var("X"),)), comp("a", Var("Y")), GUARD_TRUE, {})
 
     def test_ground_guard_refutes(self):
         m = comp("a", Var("Y"), guard=Rel("<", Var("Y"), Int(3)))
-        assert not unifiable(Atom("a", (Int(3),)), m, GUARD_TRUE)
-        assert unifiable(Atom("a", (Int(2),)), m, GUARD_TRUE)
+        assert not unifiable(Atom("a", (Int(3),)), m, GUARD_TRUE, {})
+        assert unifiable(Atom("a", (Int(2),)), m, GUARD_TRUE, {})
 
     def test_comp_comp(self):
         body = Comprehension(
             Atom("a", (Var("X"),)), Rel(">", Var("X"), Int(0)), ("X",), Var("Xs")
         )
-        assert not unifiable(body, comp("b", Var("Y")), GUARD_TRUE)
-        assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
+        assert not unifiable(body, comp("b", Var("Y")), GUARD_TRUE, {})
+        assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE, {})
 
     def test_contradictory_open_guard_over_approximates(self):
         body = Comprehension(
@@ -63,7 +63,7 @@ class TestUnifiability:
             Var("Xs"),
         )
         # the conjunct-wise approximation does not see the contradiction
-        assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
+        assert unifiable(body, comp("a", Var("Y")), GUARD_TRUE, {})
 
 
 class TestHeadPrecondition:
@@ -73,22 +73,22 @@ class TestHeadPrecondition:
     def test_repeated_variable_raises(self):
         head = comp("a", Var("Y"), Var("Y"))
         with pytest.raises(ChrcpError, match="distinct variable arguments"):
-            unifiable(Atom("a", (Int(1), Int(2))), head, GUARD_TRUE)
+            unifiable(Atom("a", (Int(1), Int(2))), head, GUARD_TRUE, {})
 
     def test_constant_argument_raises(self):
         head = comp("a", Var("Y"), Int(3))
         with pytest.raises(ChrcpError, match="distinct variable arguments"):
-            unifiable(Atom("a", (Var("X"), Int(4))), head, GUARD_TRUE)
+            unifiable(Atom("a", (Var("X"), Int(4))), head, GUARD_TRUE, {})
 
 
 class TestEveryGuardCounts:
     def test_ground_conjuncts_of_rule_and_pattern_guards_refute(self):
         never = Rel(">", Int(1), Int(2))
-        assert not unifiable(Atom("a", (Int(1),)), comp("a", Var("Y")), never)
+        assert not unifiable(Atom("a", (Int(1),)), comp("a", Var("Y")), never, {})
         body = Comprehension(Atom("a", (Var("X"),)), never, ("X",), Var("Xs"))
-        assert not unifiable(body, comp("a", Var("Y")), GUARD_TRUE)
+        assert not unifiable(body, comp("a", Var("Y")), GUARD_TRUE, {})
         # the rule guard sees the head's arguments as the pattern's
-        assert not unifiable(Atom("a", (Int(3),)), comp("a", Var("Y")), Rel("<", Var("Y"), Int(3)))
+        assert not unifiable(Atom("a", (Int(3),)), comp("a", Var("Y")), Rel("<", Var("Y"), Int(3)), {})
 
 
 class TestVerdicts:
@@ -152,7 +152,6 @@ class TestApproximationSafety:
         checked = 0
         for seed in range(60):
             program, init = generate_random(seed)
-            program = normalize_program(program)
             atoms = [Atom("m0", (Int(rng.randint(0, 3)),))] + list(init[:3])
             for a in atoms:
                 if not is_monotone(program, a):
@@ -163,11 +162,8 @@ class TestApproximationSafety:
                             continue
                         outside = sorted(head.free_vars())
                         for _ in range(8):
-                            theta = Substitution(
-                                {v: Int(rng.randint(0, 3)) for v in outside}
-                            )
-                            inst = theta.apply(head)
-                            assert subsumes(a, inst) is None
+                            theta = {v: Int(rng.randint(0, 3)) for v in outside}
+                            assert not _subsumed(a, head, theta)
                             checked += 1
         assert checked > 100
 
@@ -177,9 +173,9 @@ def ground_instances(atom, guard=GUARD_TRUE):
     values 0..MAX_VALUE under which the guard holds."""
     names = sorted(atom.free_vars() | guard_vars(guard))
     for values in itertools.product(range(MAX_VALUE + 1), repeat=len(names)):
-        theta = Substitution({v: Int(x) for v, x in zip(names, values)})
-        if eval_guard(theta.apply(guard)):
-            yield theta.apply(atom)
+        theta = {v: Int(x) for v, x in zip(names, values)}
+        if eval_guard(substitute(theta, guard)):
+            yield substitute(theta, atom)
 
 
 class TestInstances:
@@ -219,6 +215,39 @@ class TestInstances:
         assert checked > 100
 
 
+class TestVerdictUnderTheta:
+    """The init step judges a body comprehension under its firing's θ
+    (`OccurrenceProgram.monotone_under`); its verdict must be that of the
+    pattern with θ put in (`oracles.substitute`)."""
+
+    PROGRAMS = [
+        # θ decides: an argument the head's ground conjunct reads, the
+        # pattern's own guard, and an equation on a θ variable in it
+        "r @ t(N), {a(X)}#{X in Xs} ==> {b(X, N)}#{X in Xs}, {b(X, 3) | N > 2}#{X in Xs}, "
+        "{b(X, 3) | N = 2}#{X in Xs}. s @ {b(V, 3)}#{V in Vs} <=> c(Vs).",
+        # the absorbing rule's own M is not the firing's M
+        "r @ t(M), {a(X)}#{X in Xs} ==> {b(X, M)}#{X in Xs}. u @ t(M), {b(W, Z) | M > 5}#{W, Z in Ws} <=> c(Ws).",
+    ]
+
+    def test_comprehension_verdict_is_its_instance_verdict(self):
+        rng = random.Random(3)
+        programs = [generate_random(seed)[0] for seed in range(200)]
+        programs += [parse_program(text) for text in self.PROGRAMS]
+        checked = 0
+        for program in programs:
+            pw = annotate(program)
+            for rule in program.rules:
+                for p in rule.body:
+                    if not isinstance(p, Comprehension):
+                        continue
+                    outer = sorted(p.free_vars() | rule.head_vars())
+                    for _ in range(4):
+                        theta = {v: Int(rng.randint(0, 6)) for v in outer}
+                        assert pw.monotone_under(p, theta) is pw.monotone(substitute(theta, p)), (rule.name, p, theta)
+                        checked += 1
+        assert checked > 100
+
+
 class TestArgumentBlind:
     """`annotate` records the predicate/arity pairs that some argument-blind
     comprehension head absorbs, and `OccurrenceProgram.monotone` answers
@@ -234,7 +263,7 @@ class TestArgumentBlind:
             for pred, arity in pw.absorbed_preds:
                 generic = Atom(pred, tuple(Var(f"X{i}") for i in range(arity)))
                 for inst in ground_instances(generic):
-                    assert pw.monotone(inst) is verdict(heads, inst).monotone is False, inst
+                    assert pw.monotone(inst) is verdict(heads, inst, {}).monotone is False, inst
                     checked += 1
         assert checked > 1000
 

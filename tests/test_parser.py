@@ -31,7 +31,7 @@ from chrcp.terms import (
     TermComp,
     TupleTerm,
     Var,
-    norm_loose,
+    eval_term,
     term_key,
 )
 
@@ -146,7 +146,7 @@ class TestNestingBound:
         (nested,) = parse_store("p(" + "[" * (MAX_NESTING - 1) + "1" + "]" * (MAX_NESTING - 1) + ").")
         (negated,) = parse_program("r @ p(X) <=> q(" + "-" * (MAX_NESTING - 1) + "X).").rules
         for t in (sums.body[0].args[0], nested.args[0], negated.body[0].args[0]):
-            assert term_key(t) and norm_loose(t) == t
+            assert term_key(t) and eval_term(t, {"X": Int(1)}) is not None
         assert isinstance(sums.body[0].args[0], PrimApp)
 
 

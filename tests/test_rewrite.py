@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from chrcp.errors import TermTypeError
 from chrcp.fuzz import generate_random
 from chrcp.monotone import is_monotone
 from chrcp.parse import parse_program, parse_store
@@ -10,7 +13,7 @@ from chrcp.rewrite import (
     unfold_body,
 )
 from chrcp.rules import Atom, Comprehension, canonical_store
-from chrcp.terms import GTrue, Int, Rel, Substitution, Sym, Var, mset
+from chrcp.terms import GTrue, Int, Rel, Sym, Var, mset
 
 from oracles import oracle_successors, oracle_unfold
 
@@ -22,24 +25,29 @@ def store(text):
 class TestUnfoldBody:
     def test_comprehension_instances(self):
         c = Comprehension(Atom("data", (Sym("b"), Var("D"))), GTrue(), ("D",), mset(Int(7)))
-        assert unfold_body([c]) == [Atom("data", (Sym("b"), Int(7)))]
+        assert unfold_body([c], {}) == [Atom("data", (Sym("b"), Int(7)))]
 
     def test_failing_elements_skipped(self):
         c = Comprehension(
             Atom("p", (Var("X"),)), Rel(">", Var("X"), Int(0)), ("X",), mset(Int(1), Int(-1), Int(2))
         )
-        assert sorted(a.args[0].value for a in unfold_body([c])) == [1, 2]
+        assert sorted(a.args[0].value for a in unfold_body([c], {})) == [1, 2]
 
     def test_empty_domain(self):
         c = Comprehension(Atom("p", (Var("X"),)), GTrue(), ("X",), mset())
-        assert unfold_body([c]) == []
+        assert unfold_body([c], {}) == []
 
     def test_ill_typed_guard_skips_its_elements(self):
-        # Substituting W = a makes `W + 1` ill-typed for every element: each
-        # is skipped as if its guard failed, and the substitution succeeds.
+        # Under W = a, `W + 1` is ill-typed for every element: each is
+        # skipped as if its guard failed, and the unfolding succeeds.
         (rule,) = parse_program("r @ t(W) ==> {q(D) | D >= W + 1}#{D in [1, 5]}.").rules
-        body = Substitution({"W": Sym("a")}).apply(rule.body)
-        assert unfold_body(body) == oracle_unfold(rule.body, {"W": Sym("a")}) == []
+        assert unfold_body(rule.body, {"W": Sym("a")}) == oracle_unfold(rule.body, {"W": Sym("a")}) == []
+
+
+    def test_domain_not_a_multiset_is_a_type_error(self):
+        (rule,) = parse_program("r @ t(Xs) ==> {q(D)}#{D in Xs}.").rules
+        with pytest.raises(TermTypeError, match="^body comprehension domain 1 is not a multiset$"):
+            unfold_body(rule.body, {"Xs": Int(1)})
 
 
 class TestAbstractStep:

@@ -219,9 +219,9 @@ class TestCheckSoundness:
         calls = []
         unfold = chrcp.soundness.unfold_body
 
-        def counted(patterns):
+        def counted(patterns, env):
             calls.append(1)
-            return unfold(patterns)
+            return unfold(patterns, env)
 
         monkeypatch.setattr(chrcp.soundness, "unfold_body", counted)
         rep = check_soundness(pivot_program, corpus_store("pivot_swap"))

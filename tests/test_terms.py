@@ -15,7 +15,6 @@ from chrcp.terms import (
     PrimApp,
     Reduce,
     Rel,
-    Substitution,
     Sym,
     TermComp,
     TupleTerm,
@@ -24,11 +23,14 @@ from chrcp.terms import (
     eval_guard,
     mset,
     normalize,
+    eval_term,
+    guard_holds,
     reduce_eval,
-    substitute,
     term_key,
     tup,
 )
+
+from oracles import reference_eval
 
 
 def ints(*vals):
@@ -75,30 +77,39 @@ class TestNormalize:
         assert normalize(PrimApp("max", (INFTY, Int(3)))) == INFTY
 
 
-class TestSubstitute:
-    def test_direct_replacement(self):
-        theta = Substitution({"X": Int(3)})
-        assert substitute(theta, tup(Var("X"), Var("Y"))) == tup(Int(3), Var("Y"))
+class TestEvalUnderEnv:
+    """`eval_term(t, env)` reads variables from `env`; nothing is substituted."""
 
-    def test_empty_substitution_is_identity(self):
-        t = tup(Var("X"), mset(Int(1)))
-        assert substitute(Substitution(), t) == t
+    def test_variables_read_from_env(self):
+        assert eval_term(tup(Var("X"), Int(1)), {"X": Int(3)}) == tup(Int(3), Int(1))
+
+    def test_empty_env_is_normalize(self):
+        t = tup(Int(2), mset(Int(3), Int(1)))
+        assert eval_term(t, {}) == normalize(t) == tup(Int(2), ints(1, 3))
 
     def test_binders_shadow(self):
-        # X replaced, bound Z untouched inside the comprehension
+        # X read from env; the binder Z shadows env's Z inside the comprehension
         t = TermComp(tup(Var("X"), Var("Z")), Rel(">", Var("Z"), Int(0)), ("Z",), Var("Zs"))
-        out = substitute(Substitution({"X": Int(1), "Z": Int(9)}), t)
-        assert out == TermComp(tup(Int(1), Var("Z")), Rel(">", Var("Z"), Int(0)), ("Z",), Var("Zs"))
+        env = {"X": Int(1), "Z": Int(9), "Zs": ints(0, 2)}
+        assert eval_term(t, env) == mset(tup(Int(1), Int(2)))
 
-    def test_normalizes_ground_subterms(self):
-        out = substitute(Substitution({"X": Int(3)}), PrimApp("+", (Var("X"), Int(1))))
-        assert out == Int(4)
+    def test_evaluates_under_env(self):
+        assert eval_term(PrimApp("+", (Var("X"), Int(1))), {"X": Int(3)}) == Int(4)
 
-    def test_determined_bind_becomes_equality(self):
+    def test_bound_bind_is_a_test(self):
         g = Bind(("W",), Var("X"))
-        out = substitute(Substitution({"W": Int(2), "X": Int(2)}), g)
-        assert out == Rel("=", Int(2), Int(2))
-        assert eval_guard(out)
+        assert guard_holds(g, {"W": Int(2), "X": Int(2)})
+        assert not guard_holds(g, {"W": Int(3), "X": Int(2)})
+
+    def test_unbound_variables_are_all_named(self):
+        t = PrimApp("+", (Var("Y"), PrimApp("+", (Var("X"), Var("Z")))))
+        with pytest.raises(NonGroundError, match=r"^free variables Y, Z in Y \+ \(1 \+ Z\)$"):
+            eval_term(t, {"X": Int(1)})
+
+    def test_open_comprehension_is_non_ground_even_when_empty(self):
+        t = TermComp(Var("Y"), GTrue(), ("X",), mset())
+        with pytest.raises(NonGroundError, match="free variables Y"):
+            eval_term(t, {})
 
 
 class TestGuards:
@@ -197,10 +208,61 @@ def test_reduce_permutation_invariant(values, rnd):
         )
 
 
-@given(ground_terms)
-@settings(max_examples=60)
-def test_substitution_idempotent_on_objects(t):
-    theta = Substitution({"X": Int(1), "Y": mset(Int(2))})
-    obj = TupleTerm((Var("X"), t, Var("Y")))
-    once = substitute(theta, obj)
-    assert substitute(theta, once) == once
+# The differential test below draws terms over these names: env binds some
+# of them, so each drawn term reads bound, shadowed and free variables.
+NAMES = ("X", "Y", "F")
+
+small = st.one_of(st.integers(-2, 2).map(Int), st.sampled_from([Sym("a"), Bool(True), INFTY]))
+values = st.one_of(
+    small,
+    st.lists(st.integers(-2, 2).map(Int), max_size=3).map(lambda xs: MSet(tuple(sorted(xs, key=term_key)))),
+    st.lists(st.tuples(small, small).map(TupleTerm), max_size=2).map(lambda xs: MSet(tuple(sorted(xs, key=term_key)))),
+)
+envs = st.dictionaries(st.sampled_from(NAMES), values, max_size=3)
+
+_OPS = ("+", "-", "min", "max", "<", "=", "in")
+
+
+def _guards(kids):
+    rel = st.builds(Rel, st.sampled_from(("=", "!=", "<", ">=", "in")), kids, kids)
+    # A Bind's target is never a binder: an equation on a binder raised
+    # `RebindError` on the two-pass path, and is a test now.
+    bind = st.builds(lambda v: Bind(("F",), v), kids)
+    return st.one_of(st.just(GTrue()), rel, st.builds(lambda a, b: conj(a, b), bind, rel))
+
+
+def _comprehensions(kids):
+    binders = st.sampled_from([("X",), ("B",), ("B",), ("B", "C")])
+    domains = st.one_of(st.lists(kids, max_size=3).map(lambda xs: MSet(tuple(xs))), st.sampled_from([Var(v) for v in NAMES]), kids)
+    return st.builds(TermComp, kids, _guards(kids), binders, domains)
+
+
+open_terms = st.recursive(
+    st.one_of(small, st.sampled_from([Var(v) for v in NAMES + ("B", "C")])),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3).map(lambda xs: MSet(tuple(xs))),
+        st.lists(kids, min_size=2, max_size=2).map(lambda xs: TupleTerm(tuple(xs))),
+        st.builds(lambda a, b: MSetUnion(MSet((a,)), b), kids, kids),
+        st.builds(lambda op, a, b: PrimApp(op, (a, b)), st.sampled_from(_OPS), kids, kids),
+        st.builds(Reduce, st.sampled_from(("min", "max", "sum", "count")), kids, kids),
+        _comprehensions(kids),
+        _comprehensions(kids),
+        st.builds(MSetUnion, kids, kids),  # rare in text: `pretty_term` prints no such union
+    ),
+    max_leaves=10,
+)
+
+
+def _outcome(f):
+    try:
+        return "value", f()
+    except (NonGroundError, TermTypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(open_terms, envs)
+@settings(max_examples=400, deadline=None)
+def test_eval_term_agrees_with_substitute_then_normalize(t, env):
+    """One walk under env gives what substituting env and then evaluating
+    gave: equal values, or the same error class with the same message."""
+    assert _outcome(lambda: eval_term(t, env)) == _outcome(lambda: reference_eval(t, env))
